@@ -1,14 +1,24 @@
 // The chaos engine: apply a FaultPlan step by step and measure the blast
 // radius of every step.
 //
-// Each step: (1) snapshot every retained probe's DNS answer, selected route
-// and RTT, (2) apply the fault mutation in place (announcement state,
-// adjacency state, geo-DB mode or measurement-plane degradation), (3)
-// re-solve the deployment's regional prefixes over the mutated world with
-// the original tie-break salts, (4) re-measure and reduce the deltas into a
-// StepReport. Reports carry no wall-clock data and read no observability
-// counters, so two runs with the same seed and plan serialize to the same
-// bytes; timings and fault telemetry live in the obs layer instead.
+// Each step: (1) take the before-pass — every retained probe's DNS answer,
+// selected route and RTT, (2) apply the fault mutation in place
+// (announcement state, adjacency state, geo-DB mode, measurement-plane
+// degradation or demand), (3) re-solve the deployment's regional prefixes
+// over the mutated world with the original tie-break salts, (4) take the
+// after-pass and reduce the deltas into a StepReport.
+//
+// Measurements are pure in lab state, so each lab state is measured once:
+// step i's after-pass (and post-fault traffic solve) is step i+1's
+// before-pass, and a full before-pass runs only on a run's first step and
+// on the first step after a resume. The after-pass redoes only what the
+// event changed: routing events keep every probe's DNS answer and redo
+// route lookup and ping, demand events copy the before-pass, and geo-DB and
+// measurement-fault events re-measure in full.
+//
+// Reports carry no wall-clock data and read no observability counters, so
+// two runs with the same seed and plan serialize to the same bytes; timings
+// and fault telemetry live in the obs layer instead.
 #pragma once
 
 #include <memory>
@@ -164,20 +174,36 @@ class Engine {
 
  private:
   struct ProbeView;  // per-probe snapshot (answer, route, rtt)
+  struct Carry;      // measurements of the current lab state, kept across steps
 
-  std::string apply(const FaultEvent& e);  ///< "" on success, else the error
-  void snapshot(std::vector<ProbeView>& out) const;
+  /// Which measurement inputs an applied event changed (none for demand
+  /// events: the surge scale only feeds the traffic plane's flows).
+  struct Changes {
+    bool routes{false};   ///< announcement or adjacency state (re-solved)
+    bool dns{false};      ///< geo-DB state or the DNS-timeout fault
+    bool probing{false};  ///< the ping-loss fault
+  };
+
+  /// "" on success, else the error. `changed` (if given) receives what the
+  /// event changed.
+  std::string apply(const FaultEvent& e, Changes* changed = nullptr);
+  /// One measurement pass over the retained probes. With `dns_from`, each
+  /// probe keeps its answer from that pass and only route lookup and ping
+  /// are redone.
+  void snapshot(std::vector<ProbeView>& out,
+                const std::vector<ProbeView>* dns_from = nullptr) const;
   /// Build (or rebuild after a resume) the convergence plane from the lab's
   /// current state; no-op unless enable_transient was called.
   void ensure_plane();
-  /// snapshot → apply → snapshot → reduce for one event; shared between
-  /// run() and run_guarded(). When transient recording is on, also runs the
-  /// convergence plane for the step and appends to *transient_out; when
-  /// traffic is on, solves the load model around the fault and appends to
-  /// *traffic_out.
+  /// before-pass → apply → after-pass → reduce for one event; shared
+  /// between run() and run_guarded(). Reuses (and leaves behind for the next
+  /// step) the measurements in `carry`. When transient recording is on, also
+  /// runs the convergence plane for the step and appends to *transient_out;
+  /// when traffic is on, solves the load model around the fault and appends
+  /// to *traffic_out.
   core::Expected<StepReport, std::string> execute_step(
-      const FaultPlan& plan, std::size_t index, std::vector<ProbeView>& before,
-      std::vector<ProbeView>& after, std::vector<converge::StepTransient>* transient_out,
+      const FaultPlan& plan, std::size_t index, Carry& carry,
+      std::vector<converge::StepTransient>* transient_out,
       std::vector<traffic::StepTraffic>* traffic_out);
   /// The window's flows under the current surge scale (cached: regenerated
   /// only when a traffic_surge/_restore event changes the scale).

@@ -347,6 +347,18 @@ struct Engine::ProbeView {
   std::optional<Rtt> rtt{};
 };
 
+/// The measurements of the lab's current state, carried from one step to
+/// the next: step i's after-pass and post-fault traffic solve are step
+/// i+1's before-pass and before_solve. Starts empty, so a run's first step
+/// (and the first step after a resume's fast-forward, which does not
+/// measure) takes a full before-pass.
+struct Engine::Carry {
+  std::vector<ProbeView> before;
+  std::vector<ProbeView> after;  ///< scratch buffer for the after-pass
+  bool measured{false};          ///< `before` holds the current state's pass
+  std::optional<traffic::TrafficSolve> solve;  ///< traffic of the current state
+};
+
 Engine::Engine(lab::Lab& laboratory, const lab::DeploymentHandle& handle)
     : lab_(laboratory), handle_(laboratory.handle_mut(handle)) {}
 
@@ -423,8 +435,13 @@ void Engine::ensure_plane() {
   plane_->rebuild();
 }
 
-void Engine::snapshot(std::vector<ProbeView>& out) const {
+void Engine::snapshot(std::vector<ProbeView>& out,
+                      const std::vector<ProbeView>* dns_from) const {
+  static obs::Counter& passes = metrics().counter("chaos.measure.passes");
+  static obs::Counter& dns_reused = metrics().counter("chaos.measure.dns_reused");
   const auto retained = lab_.census().retained();
+  passes.add();
+  if (dns_from != nullptr) dns_reused.add(retained.size());
   out.clear();
   out.resize(retained.size());
   // Each probe's view is pure in (probe, deployment state), so the fan-out
@@ -433,7 +450,8 @@ void Engine::snapshot(std::vector<ProbeView>& out) const {
     const atlas::Probe* p = retained[i];
     ProbeView view;
     view.probe = p;
-    view.answer = lab_.dns_lookup(*p, *handle_, dns::QueryMode::Ldns);
+    view.answer = dns_from != nullptr ? (*dns_from)[i].answer
+                                      : lab_.dns_lookup(*p, *handle_, dns::QueryMode::Ldns);
     const bgp::Route* route = handle_->route_for(p->asn, view.answer.region);
     if (route != nullptr) {
       view.routed = true;
@@ -444,11 +462,15 @@ void Engine::snapshot(std::vector<ProbeView>& out) const {
   });
 }
 
-std::string Engine::apply(const FaultEvent& e) {
+std::string Engine::apply(const FaultEvent& e, Changes* changed) {
   cdn::Deployment& dep = handle_->deployment;
   const auto sites = handle_->deployment.sites().size();
   const auto regions = handle_->deployment.regions().size();
-  bool reroute = true;  // most faults change routing; geo-DB/measurement don't
+  // Each kind records which measurement inputs it changed. Routing faults
+  // change routes only: Deployment::map_client reads just the geo DB and the
+  // country/area tables, which they never touch, so DNS answers stand.
+  // Demand (traffic_surge/_restore) is no measurement input at all.
+  Changes changes;
   last_step_delta_.reset();
   // Incremental path: describe the mutation to the solver instead of only
   // performing it. Origin sets are captured around the switch (works for
@@ -465,6 +487,7 @@ std::string Engine::apply(const FaultEvent& e) {
         return "site " + std::to_string(value(e.site)) + " is already withdrawn";
       }
       withdrawn_sites_[value(e.site)] = dep.withdraw_site(e.site);
+      changes.routes = true;
       break;
     }
     case FaultKind::SiteRestore: {
@@ -474,6 +497,7 @@ std::string Engine::apply(const FaultEvent& e) {
       }
       dep.restore_site(e.site, std::move(it->second));
       withdrawn_sites_.erase(it);
+      changes.routes = true;
       break;
     }
     case FaultKind::SiteLinkDown:
@@ -483,6 +507,7 @@ std::string Engine::apply(const FaultEvent& e) {
         return "site " + std::to_string(value(e.site)) + " has no attachment " +
                std::to_string(e.attachment);
       }
+      changes.routes = true;
       break;
     }
     case FaultKind::LinkDown:
@@ -493,6 +518,7 @@ std::string Engine::apply(const FaultEvent& e) {
                std::to_string(value(e.b));
       }
       if (delta_on) delta.links.push_back(bgp::LinkDelta{e.a, e.b, up});
+      changes.routes = true;
       break;
     }
     case FaultKind::RouteServerDown:
@@ -507,6 +533,7 @@ std::string Engine::apply(const FaultEvent& e) {
           delta.links.push_back(bgp::LinkDelta{a, b, up});
         }
       }
+      changes.routes = true;
       break;
     }
     case FaultKind::RegionWithdraw: {
@@ -515,6 +542,7 @@ std::string Engine::apply(const FaultEvent& e) {
         return "region " + std::to_string(e.region) + " is already withdrawn";
       }
       withdrawn_regions_[e.region] = dep.withdraw_region(e.region);
+      changes.routes = true;
       break;
     }
     case FaultKind::RegionRestore: {
@@ -524,6 +552,7 @@ std::string Engine::apply(const FaultEvent& e) {
       }
       dep.restore_region(e.region, it->second);
       withdrawn_regions_.erase(it);
+      changes.routes = true;
       break;
     }
     case FaultKind::GeoDbStale: {
@@ -534,7 +563,7 @@ std::string Engine::apply(const FaultEvent& e) {
       auto fault = lab_.db_mut(e.db).fault();
       fault.extra_wrong_country_prob = e.magnitude;
       lab_.db_mut(e.db).set_fault(fault);
-      reroute = false;
+      changes.dns = true;
       break;
     }
     case FaultKind::GeoDbOutage: {
@@ -542,13 +571,13 @@ std::string Engine::apply(const FaultEvent& e) {
       auto fault = lab_.db_mut(e.db).fault();
       fault.outage = true;
       lab_.db_mut(e.db).set_fault(fault);
-      reroute = false;
+      changes.dns = true;
       break;
     }
     case FaultKind::GeoDbRestore: {
       if (e.db >= 3) return "unknown geolocation database " + std::to_string(e.db);
       lab_.db_mut(e.db).clear_fault();
-      reroute = false;
+      changes.dns = true;
       break;
     }
     case FaultKind::MeasurementDegrade: {
@@ -559,12 +588,14 @@ std::string Engine::apply(const FaultEvent& e) {
       }
       if (f.max_retries < 0) return "max_retries must be non-negative";
       lab_.set_measurement_faults(f);
-      reroute = false;
+      changes.dns = true;
+      changes.probing = true;
       break;
     }
     case FaultKind::MeasurementRestore:
       lab_.set_measurement_faults(std::nullopt);
-      reroute = false;
+      changes.dns = true;
+      changes.probing = true;
       break;
     case FaultKind::TrafficSurge:
       // Appliable with or without the traffic plane (so resume fast-forward
@@ -573,14 +604,13 @@ std::string Engine::apply(const FaultEvent& e) {
         return "traffic_surge scale must be positive and finite";
       }
       surge_scale_ = e.magnitude;
-      reroute = false;
       break;
     case FaultKind::TrafficRestore:
       surge_scale_ = 1.0;
-      reroute = false;
       break;
   }
-  if (reroute) {
+  if (changed != nullptr) *changed = changes;
+  if (changes.routes) {
     if (delta_on) {
       const auto origins_after = converge::origins_by_region(dep);
       delta.origins.resize(origins_after.size());
@@ -605,8 +635,8 @@ std::string Engine::apply(const FaultEvent& e) {
 }
 
 core::Expected<StepReport, std::string> Engine::execute_step(
-    const FaultPlan& plan, std::size_t index, std::vector<ProbeView>& before,
-    std::vector<ProbeView>& after, std::vector<converge::StepTransient>* transient_out,
+    const FaultPlan& plan, std::size_t index, Carry& carry,
+    std::vector<converge::StepTransient>* transient_out,
     std::vector<traffic::StepTraffic>* traffic_out) {
   static obs::Counter& steps_counter = metrics().counter("chaos.steps");
   static obs::Histogram& step_us = metrics().histogram("chaos.step.total_us");
@@ -618,33 +648,55 @@ core::Expected<StepReport, std::string> Engine::execute_step(
 
   const auto& gaz = geo::Gazetteer::world();
   const auto& dep = handle_->deployment;
+  std::vector<ProbeView>& before = carry.before;
+  std::vector<ProbeView>& after = carry.after;
 
   const bool transient = transient_cfg_.has_value() && transient_out != nullptr;
   std::vector<std::vector<bgp::OriginAttachment>> origins_before;
   if (transient) {
+    obs::Span converge_span("chaos.converge");
     ensure_plane();  // baseline must quiesce on the pre-fault state
     origins_before = converge::origins_by_region(dep);
   }
 
-  snapshot(before);
+  if (!carry.measured) {
+    obs::Span measure_span("chaos.measure.before");
+    snapshot(before);
+    carry.measured = true;
+  }
   const bool traffic_on = traffic_cfg_.has_value() && traffic_out != nullptr;
-  traffic::TrafficSolve before_solve;
-  if (traffic_on) {
+  if (traffic_on && !carry.solve) {
     // Solved pre-apply: the shed alternates come from route_for, which the
     // fault's re-solve is about to invalidate.
-    before_solve = solve_traffic(before);
+    obs::Span traffic_span("chaos.traffic");
+    carry.solve = solve_traffic(before);
   }
-  if (const std::string err = apply(event); !err.empty()) {
-    return core::unexpected("step " + std::to_string(index) + " (" + describe(event) +
-                            "): " + err);
+  Changes changes;
+  {
+    obs::Span apply_span("chaos.apply");
+    if (const std::string err = apply(event, &changes); !err.empty()) {
+      return core::unexpected("step " + std::to_string(index) + " (" + describe(event) +
+                              "): " + err);
+    }
   }
-  snapshot(after);
+  {
+    // Redo only the stages whose inputs the event changed.
+    obs::Span measure_span("chaos.measure.after");
+    if (changes.dns) {
+      snapshot(after);
+    } else if (changes.routes || changes.probing) {
+      snapshot(after, &before);
+    } else {
+      after = before;  // a demand step: the catchments did not move
+    }
+  }
 
   StepReport step;
   step.index = index;
   step.event = describe(event);
   step.probes = before.size();
 
+  std::optional<obs::Span> reduce_span(std::in_place, "chaos.reduce");
   std::vector<double> before_ms, after_ms;
   for (std::size_t p = 0; p < before.size(); ++p) {
     const ProbeView& b = before[p];
@@ -708,8 +760,10 @@ core::Expected<StepReport, std::string> Engine::execute_step(
   step.before_p90_ms = analysis::percentile(before_ms, 90);
   step.after_p50_ms = analysis::percentile(after_ms, 50);
   step.after_p90_ms = analysis::percentile(after_ms, 90);
+  reduce_span.reset();
 
   if (transient) {
+    obs::Span converge_span("chaos.converge");
     const auto deltas = converge::diff_origins(origins_before, converge::origins_by_region(dep));
     // Probes enter the transient rollup from the pre-fault view: the AS they
     // measure from and the regional prefix they were being served from when
@@ -728,6 +782,8 @@ core::Expected<StepReport, std::string> Engine::execute_step(
     static obs::Counter& shed_flows = metrics().counter("traffic.flows_shed");
     static obs::Counter& dropped_flows = metrics().counter("traffic.flows_dropped");
     static obs::Histogram& delay_hist = metrics().histogram("traffic.queue_delay_ms");
+    obs::Span traffic_span("chaos.traffic");
+    const traffic::TrafficSolve& before_solve = *carry.solve;
     traffic::StepTraffic t;
     t.index = index;
     t.event = describe(event);
@@ -763,8 +819,11 @@ core::Expected<StepReport, std::string> Engine::execute_step(
     util_mean.set(t.solve.mean_utilization);
     shed_flows.add(t.solve.flows_shed);
     dropped_flows.add(t.solve.flows_dropped);
+    carry.solve = t.solve;  // the next step's before_solve
     traffic_out->push_back(std::move(t));
   }
+  // This step's after-pass is the next step's before-pass.
+  std::swap(carry.before, carry.after);
   journal_step(step, obs::trace_now_ns() - step_start_ns, last_step_delta_);
   if (traffic_on) journal_traffic(traffic_out->back());
   return step;
@@ -785,9 +844,9 @@ core::Expected<ChaosReport, std::string> Engine::run(const FaultPlan& plan) {
   report.probes = lab_.census().retained().size();
   report.planned_steps = plan.events.size();
 
-  std::vector<ProbeView> before, after;
+  Carry carry;
   for (std::size_t i = 0; i < plan.events.size(); ++i) {
-    auto step = execute_step(plan, i, before, after, &report.transient, &report.traffic);
+    auto step = execute_step(plan, i, carry, &report.transient, &report.traffic);
     if (!step) return core::unexpected(std::move(step).error());
     report.steps.push_back(std::move(*step));
     report.completed_steps = i + 1;
@@ -825,10 +884,10 @@ core::Expected<GuardedChaosRun, std::string> Engine::run_guarded(
     fingerprint = hash_combine(fingerprint, traffic::fingerprint(*traffic_cfg_));
   }
 
-  std::vector<ProbeView> before, after;
+  Carry carry;
   guard::SweepHooks hooks;
   hooks.process = [&](std::size_t i) {
-    auto step = execute_step(plan, i, before, after, &report.transient, &report.traffic);
+    auto step = execute_step(plan, i, carry, &report.transient, &report.traffic);
     if (!step) throw StepFailure(std::move(step).error());
     report.steps.push_back(std::move(*step));
   };

@@ -45,6 +45,23 @@ std::optional<int> faulty_attempts(const MeasurementFaults& f, std::uint64_t tag
   return std::nullopt;
 }
 
+/// The ping-loss gate of one traceroute: false when every attempt towards
+/// `address` was lost. Shared by the scalar and batch traceroutes so both
+/// make the same fault decisions and record the same telemetry.
+bool traceroute_answers(const std::optional<MeasurementFaults>& faults, ProbeId probe,
+                        Ipv4Addr address) {
+  if (!faults || faults->ping_loss_prob <= 0.0) return true;
+  static obs::Counter& lost = metrics().counter("lab.traceroute.fault_lost_attempts");
+  static obs::Counter& gaveup = metrics().counter("lab.traceroute.fault_gaveup");
+  static obs::Histogram& backoff = metrics().histogram("lab.fault.backoff_ms", obs::kRttMsBounds);
+  if (faulty_attempts(*faults, kTraceFaultTag, probe, address.bits(), faults->ping_loss_prob,
+                      lost, backoff)) {
+    return true;
+  }
+  gaveup.add();
+  return false;
+}
+
 /// Solve every region of a deployment concurrently. Region r's outcome
 /// depends only on (graph, origins_for_region(r), salt r), so each worker
 /// writes its own slot and the assembled vector is independent of the thread
@@ -111,7 +128,7 @@ const DeploymentHandle& Lab::add_deployment(const cdn::DeploymentSpec& spec) {
 
 const DeploymentHandle& Lab::add_deployment(cdn::Deployment deployment) {
   obs::Span span("lab.add_deployment");
-  DeploymentHandle handle{std::move(deployment), {}};
+  DeploymentHandle handle{std::move(deployment), {}, nullptr};
   const auto& dep = handle.deployment;
   handle.outcomes = solve_regions(*this, dep);
   static obs::Counter& deployments = metrics().counter("lab.deployments");
@@ -330,19 +347,7 @@ std::optional<bgp::TracerouteResult> Lab::traceroute(const atlas::Probe& probe,
   if (!info) return std::nullopt;
   const bgp::Route* route = info->handle->route_for(probe.asn, info->region);
   if (route == nullptr) return std::nullopt;
-  if (measurement_faults_ && measurement_faults_->ping_loss_prob > 0.0) {
-    static obs::Counter& lost = metrics().counter("lab.traceroute.fault_lost_attempts");
-    static obs::Counter& gaveup = metrics().counter("lab.traceroute.fault_gaveup");
-    static obs::Histogram& backoff =
-        metrics().histogram("lab.fault.backoff_ms", obs::kRttMsBounds);
-    const auto ok = faulty_attempts(*measurement_faults_, kTraceFaultTag, probe.id,
-                                    address.bits(), measurement_faults_->ping_loss_prob,
-                                    lost, backoff);
-    if (!ok) {
-      gaveup.add();
-      return std::nullopt;
-    }
-  }
+  if (!traceroute_answers(measurement_faults_, probe.id, address)) return std::nullopt;
   const cdn::Site& site = info->handle->deployment.site(route->origin_site);
   return bgp::synth_traceroute(*route, probe.city, probe.asn, probe.access_extra_ms,
                                site.onsite_router, address, config_.latency,
@@ -391,19 +396,7 @@ std::vector<std::optional<bgp::TracerouteResult>> Lab::traceroute_all(
     calls.add();
     const bgp::Route* route = info->handle->route_for(probe.asn, info->region);
     if (route == nullptr) continue;
-    if (measurement_faults_ && measurement_faults_->ping_loss_prob > 0.0) {
-      static obs::Counter& lost = metrics().counter("lab.traceroute.fault_lost_attempts");
-      static obs::Counter& gaveup = metrics().counter("lab.traceroute.fault_gaveup");
-      static obs::Histogram& backoff =
-          metrics().histogram("lab.fault.backoff_ms", obs::kRttMsBounds);
-      const auto ok = faulty_attempts(*measurement_faults_, kTraceFaultTag, probe.id,
-                                      address.bits(), measurement_faults_->ping_loss_prob,
-                                      lost, backoff);
-      if (!ok) {
-        gaveup.add();
-        continue;
-      }
-    }
+    if (!traceroute_answers(measurement_faults_, probe.id, address)) continue;
     routes[i] = route;
     const cdn::Site& site = info->handle->deployment.site(route->origin_site);
     bgp::for_each_traceroute_interface(

@@ -163,10 +163,10 @@ core::Expected<TrafficConfig, io::ConfigError> config_from_json(const io::Json& 
 io::Json config_to_json(const TrafficConfig& cfg) {
   io::JsonArray caps;
   caps.reserve(cfg.site_capacity_mbps.size());
-  for (double v : cfg.site_capacity_mbps) caps.push_back(io::Json(v));
+  for (double v : cfg.site_capacity_mbps) caps.emplace_back(v);
   io::JsonArray bytes, prob;
-  for (double v : cfg.flow_sizes.bytes) bytes.push_back(io::Json(v));
-  for (double v : cfg.flow_sizes.prob) prob.push_back(io::Json(v));
+  for (double v : cfg.flow_sizes.bytes) bytes.emplace_back(v);
+  for (double v : cfg.flow_sizes.prob) prob.emplace_back(v);
   return io::Json(io::JsonObject{
       {"flows_per_probe_per_s", io::Json(cfg.flows_per_probe_per_s)},
       {"window_s", io::Json(cfg.window_s)},

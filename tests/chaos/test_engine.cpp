@@ -135,7 +135,9 @@ TEST_F(EngineTest, MeasurementDegradationLosesPingsButNotRoutes) {
   const auto first = lab_.ping(*p, answer.address);
   const auto second = lab_.ping(*p, answer.address);
   EXPECT_EQ(first.has_value(), second.has_value());
-  if (first && second) EXPECT_DOUBLE_EQ(first->ms, second->ms);
+  if (first && second) {
+    EXPECT_DOUBLE_EQ(first->ms, second->ms);
+  }
 }
 
 TEST_F(EngineTest, GeoDbOutageRedirectsToFallbackRegion) {

@@ -269,7 +269,9 @@ TEST(JournalTailerConcurrent, ReaderSeesEveryCommittedLineExactlyOnceUnderFaultS
     EXPECT_EQ(corrupt, loaded->corrupt_lines) << writers << " writers";
     EXPECT_EQ(malformed + (pending_tail ? 1 : 0), loaded->malformed_lines)
         << writers << " writers";
-    if (pending_tail) EXPECT_TRUE(loaded->truncated_tail);
+    if (pending_tail) {
+      EXPECT_TRUE(loaded->truncated_tail);
+    }
 
     // Exactly-once also means no duplicates: every surfaced (writer, seq)
     // pair is unique.

@@ -36,7 +36,9 @@ TEST(BatchMeasurements, DnsAndPingMatchScalarCalls) {
     EXPECT_EQ(answers[i].degraded, scalar_answer.degraded);
     const auto scalar_rtt = laboratory.ping(*retained[i], ip);
     ASSERT_EQ(rtts[i].has_value(), scalar_rtt.has_value());
-    if (rtts[i]) EXPECT_EQ(rtts[i]->ms, scalar_rtt->ms);
+    if (rtts[i]) {
+      EXPECT_EQ(rtts[i]->ms, scalar_rtt->ms);
+    }
   }
 }
 
