@@ -10,6 +10,7 @@
 #include <optional>
 #include <vector>
 
+#include "ranycast/bgp/path_arena.hpp"
 #include "ranycast/bgp/route.hpp"
 #include "ranycast/core/ipv4.hpp"
 #include "ranycast/core/rng.hpp"
@@ -40,6 +41,17 @@ struct LatencyModel {
   /// End-to-end RTT for a client (identified by its AS for jitter purposes).
   Rtt path_rtt(const Route& r, CityId client_city, Asn client_asn,
                double client_access_extra_ms = 0.0) const;
+
+  /// path_rtt of the route whose path ends at arena node `node` and
+  /// originates at `origin_site`, read from the arena without materializing
+  /// a Route: bit-identical to the Route form, allocation-free for paths
+  /// of up to kHopBuffer hops.
+  Rtt path_rtt(const PathArena& arena, std::uint32_t node, SiteId origin_site,
+               CityId client_city, Asn client_asn, double client_access_extra_ms = 0.0) const;
+
+  /// Longest AS path the arena form buffers on the stack; longer paths
+  /// fall back to a materialized copy.
+  static constexpr std::size_t kHopBuffer = 32;
 };
 
 /// One responding traceroute hop.

@@ -13,10 +13,14 @@
 // standing in for BGP's arbitrary tie-breaking (router ids, age).
 //
 // Candidates are held as compact parent-indexed references into a PathArena
-// (see path_arena.hpp); the outcome keeps the arena and materializes a full
-// Route only on the first route_for() for an AS. Materialization is
-// lock-free thread-safe, so the measurement plane may fan out over probes
-// while sharing one outcome.
+// (see path_arena.hpp). The outcome keeps the compact entries and the arena,
+// and answers the measurement plane's two questions straight from them:
+// catchment() (which site catches an AS) and path_rtt() (the RTT of its
+// selected route, an allocation-free arena walk). A full Route is
+// materialized only on the first route_for() for an AS — for consumers
+// that need hops: traceroute, the §5.4 path analysis, the delta verifier,
+// the tools. Every read is thread-safe (materialization is lock-free), so
+// the measurement plane may fan out over probes while sharing one outcome.
 #pragma once
 
 #include <atomic>
@@ -30,6 +34,8 @@
 #include "ranycast/topo/graph.hpp"
 
 namespace ranycast::bgp {
+
+struct LatencyModel;
 
 /// Per-AS routing result for one anycast prefix. Movable, not copyable (the
 /// lazily materialized Route cache is identity-bound).
@@ -71,6 +77,13 @@ class RoutingOutcome {
   /// Catchment: the site an AS's traffic reaches. Reads the compact entry;
   /// never materializes a path.
   std::optional<SiteId> catchment(Asn a) const noexcept;
+
+  /// RTT of AS `a`'s selected route for a client of `a` itself in
+  /// `client_city`: latency.path_rtt(*route_for(a), client_city, a, extra)
+  /// bit for bit, read from the compact entry and the arena without
+  /// materializing. nullopt when the prefix is unreachable from `a`.
+  std::optional<Rtt> path_rtt(Asn a, CityId client_city, const LatencyModel& latency,
+                              double client_access_extra_ms = 0.0) const;
 
   std::size_t reachable_count() const noexcept;
   std::size_t as_count() const noexcept { return entries_.size(); }

@@ -1,5 +1,8 @@
 #include "ranycast/bgp/path_metrics.hpp"
 
+#include <array>
+#include <span>
+
 #include "ranycast/geo/gazetteer.hpp"
 
 namespace ranycast::bgp {
@@ -11,11 +14,27 @@ double hash01(std::uint64_t h) noexcept {
   return static_cast<double>(mix64(h) >> 11) * 0x1.0p-53;
 }
 
-std::uint64_t path_hash(const Route& r, Asn client, std::uint64_t seed) noexcept {
+/// `as_path` origin-first, as Route::as_path holds it.
+std::uint64_t path_hash(std::span<const Asn> as_path, SiteId origin_site, Asn client,
+                        std::uint64_t seed) noexcept {
   std::uint64_t h = hash_combine(seed, value(client));
-  h = hash_combine(h, value(r.origin_site));
-  for (Asn a : r.as_path) h = hash_combine(h, value(a));
+  h = hash_combine(h, value(origin_site));
+  for (Asn a : as_path) h = hash_combine(h, value(a));
   return h;
+}
+
+std::uint64_t path_hash(const Route& r, Asn client, std::uint64_t seed) noexcept {
+  return path_hash(r.as_path, r.origin_site, client, seed);
+}
+
+/// The RTT arithmetic both path_rtt forms share, so they cannot drift.
+Rtt compose_rtt(const LatencyModel& m, Km distance, std::span<const Asn> as_path,
+                SiteId origin_site, Asn client_asn, double client_access_extra_ms) {
+  const double propagation = distance.km * m.ms_per_km;
+  const double hops = m.per_hop_ms * static_cast<double>(as_path.size() + 1);
+  const double jitter =
+      m.jitter_max_ms * hash01(path_hash(as_path, origin_site, client_asn, m.seed));
+  return Rtt{propagation + hops + jitter + m.access_base_ms + client_access_extra_ms};
 }
 
 }  // namespace
@@ -34,10 +53,36 @@ Km LatencyModel::path_distance(const Route& r, CityId client_city) const {
 
 Rtt LatencyModel::path_rtt(const Route& r, CityId client_city, Asn client_asn,
                            double client_access_extra_ms) const {
-  const double propagation = path_distance(r, client_city).km * ms_per_km;
-  const double hops = per_hop_ms * static_cast<double>(r.path_length() + 1);
-  const double jitter = jitter_max_ms * hash01(path_hash(r, client_asn, seed));
-  return Rtt{propagation + hops + jitter + access_base_ms + client_access_extra_ms};
+  return compose_rtt(*this, path_distance(r, client_city), r.as_path, r.origin_site,
+                     client_asn, client_access_extra_ms);
+}
+
+Rtt LatencyModel::path_rtt(const PathArena& arena, std::uint32_t node, SiteId origin_site,
+                           CityId client_city, Asn client_asn,
+                           double client_access_extra_ms) const {
+  // The parent walk runs from the holder toward the origin: the data path's
+  // client-to-site order, so the distance sums in path_distance's order
+  // (floating-point addition is not associative). The hash folds the AS
+  // path origin-first, so the ASNs fill the buffer from its back.
+  const auto& gaz = geo::Gazetteer::world();
+  std::array<Asn, kHopBuffer> hops{};
+  std::size_t len = 0;
+  Km total{0.0};
+  CityId prev = client_city;
+  for (std::uint32_t cur = node; cur != PathArena::kNone; cur = arena.parent_of(cur)) {
+    total += gaz.distance(prev, arena.city_of(cur));
+    prev = arena.city_of(cur);
+    if (len < hops.size()) hops[hops.size() - 1 - len] = arena.asn_of(cur);
+    ++len;
+  }
+  if (len > hops.size()) {
+    std::vector<Asn> as_path;
+    std::vector<CityId> geo_path;
+    arena.materialize(node, as_path, geo_path);
+    return compose_rtt(*this, total, as_path, origin_site, client_asn, client_access_extra_ms);
+  }
+  return compose_rtt(*this, total, std::span<const Asn>(hops).last(len), origin_site,
+                     client_asn, client_access_extra_ms);
 }
 
 namespace {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "ranycast/bgp/path_metrics.hpp"
+#include "ranycast/obs/metrics.hpp"
+
 namespace ranycast::bgp {
 
 std::string_view to_string(RouteClass c) noexcept {
@@ -92,6 +95,9 @@ const Route* RoutingOutcome::materialize(std::size_t idx) const noexcept {
     delete fresh;
     return expected;
   }
+  static obs::Counter& materialized =
+      obs::MetricsRegistry::global().counter("bgp.routes_materialized");
+  materialized.add();
   return fresh;
 }
 
@@ -105,6 +111,16 @@ std::optional<SiteId> RoutingOutcome::catchment(Asn a) const noexcept {
   const auto idx = graph_->index_of(a);
   if (!idx || entries_[*idx].path == PathArena::kNone) return std::nullopt;
   return entries_[*idx].origin_site;
+}
+
+std::optional<Rtt> RoutingOutcome::path_rtt(Asn a, CityId client_city,
+                                            const LatencyModel& latency,
+                                            double client_access_extra_ms) const {
+  const auto idx = graph_->index_of(a);
+  if (!idx || entries_[*idx].path == PathArena::kNone) return std::nullopt;
+  const Entry& e = entries_[*idx];
+  return latency.path_rtt(*arena_, e.path, e.origin_site, client_city, a,
+                          client_access_extra_ms);
 }
 
 std::size_t RoutingOutcome::reachable_count() const noexcept {

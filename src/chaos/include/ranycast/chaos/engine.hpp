@@ -210,7 +210,7 @@ class Engine {
   const traffic::FlowSet& current_flows();
   /// Solve the traffic model against one measurement pass's catchment.
   /// Must run while the routes the views were snapshotted from are still
-  /// live (route_for supplies the shed alternates).
+  /// live (the other regions' catchments supply the shed alternates).
   traffic::TrafficSolve solve_traffic(const std::vector<ProbeView>& views);
 
   lab::Lab& lab_;

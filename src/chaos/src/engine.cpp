@@ -412,11 +412,11 @@ traffic::TrafficSolve Engine::solve_traffic(const std::vector<ProbeView>& views)
       // (region order — deterministic).
       for (std::size_t r2 = 0; r2 < regions; ++r2) {
         if (r2 == v.answer.region) continue;
-        const bgp::Route* route = handle_->route_for(v.probe->asn, r2);
-        if (route == nullptr || route->origin_site == v.site) continue;
+        const auto site = handle_->catchment(v.probe->asn, r2);
+        if (!site || *site == v.site) continue;
         bool dup = false;
-        for (SiteId existing : pa.alternates) dup = dup || existing == route->origin_site;
-        if (!dup) pa.alternates.push_back(route->origin_site);
+        for (SiteId existing : pa.alternates) dup = dup || existing == *site;
+        if (!dup) pa.alternates.push_back(*site);
       }
     }
     assign[i] = std::move(pa);
@@ -452,10 +452,9 @@ void Engine::snapshot(std::vector<ProbeView>& out,
     view.probe = p;
     view.answer = dns_from != nullptr ? (*dns_from)[i].answer
                                       : lab_.dns_lookup(*p, *handle_, dns::QueryMode::Ldns);
-    const bgp::Route* route = handle_->route_for(p->asn, view.answer.region);
-    if (route != nullptr) {
+    if (const auto site = handle_->catchment(p->asn, view.answer.region)) {
       view.routed = true;
-      view.site = route->origin_site;
+      view.site = *site;
       view.rtt = lab_.ping(*p, view.answer.address);
     }
     out[i] = std::move(view);
@@ -666,8 +665,8 @@ core::Expected<StepReport, std::string> Engine::execute_step(
   }
   const bool traffic_on = traffic_cfg_.has_value() && traffic_out != nullptr;
   if (traffic_on && !carry.solve) {
-    // Solved pre-apply: the shed alternates come from route_for, which the
-    // fault's re-solve is about to invalidate.
+    // Solved pre-apply: the shed alternates are the other regions' live
+    // catchments, which the fault's re-solve is about to replace.
     obs::Span traffic_span("chaos.traffic");
     carry.solve = solve_traffic(before);
   }
@@ -737,7 +736,7 @@ core::Expected<StepReport, std::string> Engine::execute_step(
       std::optional<Rtt> best;
       for (std::size_t r2 = 0; r2 < dep.regions().size(); ++r2) {
         if (r2 == a.answer.region) continue;
-        if (handle_->route_for(b.probe->asn, r2) == nullptr) continue;
+        if (!handle_->catchment(b.probe->asn, r2)) continue;
         const auto rtt = lab_.ping(*b.probe, dep.regions()[r2].service_ip);
         if (rtt && (!best || *rtt < *best)) best = rtt;
       }

@@ -41,6 +41,11 @@ struct DeploymentHandle {
   const bgp::Route* route_for(Asn client, std::size_t region) const {
     return outcomes[region].route_for(client);
   }
+  /// The site a client AS reaches on a region's prefix, nullopt if
+  /// unreachable. Never materializes a Route.
+  std::optional<SiteId> catchment(Asn client, std::size_t region) const {
+    return outcomes[region].catchment(client);
+  }
 };
 
 /// Measurement-plane degradation (chaos engine): per-attempt packet loss on
@@ -220,11 +225,8 @@ class Lab {
   std::vector<std::optional<bgp::TracerouteResult>> traceroute_all(
       std::span<const atlas::Probe* const> probes, Ipv4Addr address) const;
 
-  /// The route a probe's AS selected for a deployment region (nullptr if
-  /// unreachable or the address is not registered).
-  const bgp::Route* route_of(const atlas::Probe& probe, Ipv4Addr address) const;
-
-  /// Catchment site of a probe for an address (via the selected route).
+  /// Catchment site of a probe for an address (nullopt if unreachable or
+  /// the address is not registered).
   std::optional<SiteId> catchment_of(const atlas::Probe& probe, Ipv4Addr address) const;
 
   /// Which (deployment, region) an address belongs to.

@@ -172,7 +172,7 @@ ComparisonResult compare_regional_global(Lab& lab, const DeploymentHandle& regio
     const bool any_measured =
         std::any_of(group.members.begin(), group.members.end(), [&](const atlas::Probe* p) {
           const auto answer = lab.dns_lookup(*p, regional, dns::QueryMode::Ldns);
-          return regional.route_for(p->asn, answer.region) != nullptr;
+          return regional.catchment(p->asn, answer.region).has_value();
         });
     if (any_measured) ++result.groups_total;
     if (members.empty()) continue;

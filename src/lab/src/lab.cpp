@@ -15,13 +15,6 @@ double hash01(std::uint64_t h) noexcept {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-// Stream tags separating the fault decisions of the three measurement
-// primitives, so a ping loss does not imply a DNS timeout for the same
-// probe/target pair.
-constexpr std::uint64_t kPingFaultTag = 0x1C39;
-constexpr std::uint64_t kDnsFaultTag = 0xD235;
-constexpr std::uint64_t kTraceFaultTag = 0x7A3C;
-
 /// Deterministic per-attempt loss decision.
 bool attempt_lost(const MeasurementFaults& f, std::uint64_t tag, ProbeId probe,
                   std::uint64_t target, int attempt, double prob) noexcept {
@@ -31,32 +24,43 @@ bool attempt_lost(const MeasurementFaults& f, std::uint64_t tag, ProbeId probe,
   return hash01(h) < prob;
 }
 
-/// Run the retry/backoff loop for one measurement. Returns the attempt
-/// index that succeeded, or nullopt when every attempt was lost. Lost
-/// attempts and the backoff they cost are recorded in `lost`/`backoff_ms`.
-std::optional<int> faulty_attempts(const MeasurementFaults& f, std::uint64_t tag,
-                                   ProbeId probe, std::uint64_t target, double prob,
-                                   obs::Counter& lost, obs::Histogram& backoff_ms) {
-  for (int attempt = 0; attempt <= f.max_retries; ++attempt) {
-    if (!attempt_lost(f, tag, probe, target, attempt, prob)) return attempt;
-    lost.add();
-    backoff_ms.record(f.backoff_base_ms * static_cast<double>(1u << attempt));
-  }
-  return std::nullopt;
-}
+/// A fault-gated measurement primitive: its decision stream tag (separating
+/// the primitives, so a ping loss does not imply a DNS timeout for the same
+/// probe/target pair), its per-attempt loss probability and the counters of
+/// its lost attempts and of its give-ups.
+struct FaultGate {
+  std::uint64_t tag;
+  double MeasurementFaults::*prob;
+  const char* lost;
+  const char* gaveup;
+};
 
-/// The ping-loss gate of one traceroute: false when every attempt towards
-/// `address` was lost. Shared by the scalar and batch traceroutes so both
-/// make the same fault decisions and record the same telemetry.
-bool traceroute_answers(const std::optional<MeasurementFaults>& faults, ProbeId probe,
-                        Ipv4Addr address) {
-  if (!faults || faults->ping_loss_prob <= 0.0) return true;
-  static obs::Counter& lost = metrics().counter("lab.traceroute.fault_lost_attempts");
-  static obs::Counter& gaveup = metrics().counter("lab.traceroute.fault_gaveup");
+constexpr FaultGate kDnsGate{0xD235, &MeasurementFaults::dns_timeout_prob,
+                             "lab.dns_lookup.fault_timeouts", "lab.dns_lookup.fault_fallbacks"};
+constexpr FaultGate kPingGate{0x1C39, &MeasurementFaults::ping_loss_prob,
+                              "lab.ping.fault_lost_attempts", "lab.ping.fault_gaveup"};
+constexpr FaultGate kTraceGate{0x7A3C, &MeasurementFaults::ping_loss_prob,
+                               "lab.traceroute.fault_lost_attempts",
+                               "lab.traceroute.fault_gaveup"};
+
+/// The fault gate of one measurement towards `target`: the bounded
+/// retry/backoff loop, false when every attempt was lost. Lost attempts,
+/// their backoff and the give-up are recorded under the gate's names; one
+/// instantiation per gate registers its counters on first faulted use.
+/// Shared by the scalar and batch primitives so both make the same fault
+/// decisions and record the same telemetry.
+template <const FaultGate& G>
+bool answers(const std::optional<MeasurementFaults>& faults, ProbeId probe,
+             std::uint64_t target) {
+  const double prob = faults ? (*faults).*G.prob : 0.0;
+  if (prob <= 0.0) return true;
+  static obs::Counter& lost = metrics().counter(G.lost);
+  static obs::Counter& gaveup = metrics().counter(G.gaveup);
   static obs::Histogram& backoff = metrics().histogram("lab.fault.backoff_ms", obs::kRttMsBounds);
-  if (faulty_attempts(*faults, kTraceFaultTag, probe, address.bits(), faults->ping_loss_prob,
-                      lost, backoff)) {
-    return true;
+  for (int attempt = 0; attempt <= faults->max_retries; ++attempt) {
+    if (!attempt_lost(*faults, G.tag, probe, target, attempt, prob)) return true;
+    lost.add();
+    backoff.record(faults->backoff_base_ms * static_cast<double>(1u << attempt));
   }
   gaveup.add();
   return false;
@@ -271,31 +275,16 @@ Lab::DnsAnswer Lab::dns_lookup(const atlas::Probe& probe, const DeploymentHandle
   static obs::Histogram& wall = metrics().histogram("lab.dns_lookup.wall_us");
   calls.add();
   obs::ScopedTimer timer(wall);
-  if (measurement_faults_ && measurement_faults_->dns_timeout_prob > 0.0) {
-    static obs::Counter& timeouts = metrics().counter("lab.dns_lookup.fault_timeouts");
-    static obs::Counter& fallbacks = metrics().counter("lab.dns_lookup.fault_fallbacks");
-    static obs::Histogram& backoff =
-        metrics().histogram("lab.fault.backoff_ms", obs::kRttMsBounds);
-    const auto ok = faulty_attempts(*measurement_faults_, kDnsFaultTag, probe.id,
-                                    handle.deployment.regions()[0].service_ip.bits(),
-                                    measurement_faults_->dns_timeout_prob, timeouts, backoff);
-    if (!ok) {
-      // Every resolution attempt timed out: the client is served the stale
-      // fallback record (region 0, mirroring map_client's unknown-address
-      // fallback) instead of a geo-mapped answer.
-      fallbacks.add();
-      return DnsAnswer{0, handle.deployment.regions()[0].service_ip, true};
-    }
+  const Ipv4Addr fallback = handle.deployment.regions()[0].service_ip;
+  if (!answers<kDnsGate>(measurement_faults_, probe.id, fallback.bits())) {
+    // Every resolution attempt timed out: the client is served the stale
+    // fallback record (region 0, mirroring map_client's unknown-address
+    // fallback) instead of a geo-mapped answer.
+    return DnsAnswer{0, fallback, true};
   }
   const auto effective = dns::effective_address(probe.query_context(), mode);
   const std::size_t region = handle.deployment.map_client(effective, mapping_db());
   return DnsAnswer{region, handle.deployment.regions()[region].service_ip, false};
-}
-
-const bgp::Route* Lab::route_of(const atlas::Probe& probe, Ipv4Addr address) const {
-  const auto info = locate_address(address);
-  if (!info) return nullptr;
-  return info->handle->route_for(probe.asn, info->region);
 }
 
 std::optional<Rtt> Lab::ping(const atlas::Probe& probe, Ipv4Addr address,
@@ -307,33 +296,27 @@ std::optional<Rtt> Lab::ping(const atlas::Probe& probe, Ipv4Addr address,
       metrics().histogram("lab.ping.rtt_ms", obs::kRttMsBounds);
   calls.add();
   obs::ScopedTimer timer(wall);
-  const bgp::Route* route = route_of(probe, address);
-  if (route == nullptr) {
+  // The probe pings from its own AS, so the route's holder is the client.
+  std::optional<Rtt> rtt;
+  if (const auto info = locate_address(address)) {
+    rtt = info->handle->outcomes[info->region].path_rtt(probe.asn, probe.city, config_.latency,
+                                                        probe.access_extra_ms);
+  }
+  if (!rtt) {
     unreachable.add();
     return std::nullopt;
   }
-  if (measurement_faults_ && measurement_faults_->ping_loss_prob > 0.0) {
-    static obs::Counter& lost = metrics().counter("lab.ping.fault_lost_attempts");
-    static obs::Counter& gaveup = metrics().counter("lab.ping.fault_gaveup");
-    static obs::Histogram& backoff =
-        metrics().histogram("lab.fault.backoff_ms", obs::kRttMsBounds);
-    const auto ok = faulty_attempts(*measurement_faults_, kPingFaultTag, probe.id,
-                                    hash_combine(address.bits(), salt),
-                                    measurement_faults_->ping_loss_prob, lost, backoff);
-    if (!ok) {
-      gaveup.add();
-      return std::nullopt;  // every attempt lost: the probe reports failure
-    }
+  if (!answers<kPingGate>(measurement_faults_, probe.id, hash_combine(address.bits(), salt))) {
+    return std::nullopt;  // every attempt lost: the probe reports failure
   }
-  Rtt rtt = config_.latency.path_rtt(*route, probe.city, probe.asn, probe.access_extra_ms);
   if (salt != 0) {
     // Per-hostname measurement perturbation (used for the Appendix C
     // generalization study): sub-millisecond deterministic noise.
     const std::uint64_t h = mix64(hash_combine(hash_combine(salt, value(probe.id)),
                                                address.bits()));
-    rtt += Rtt{static_cast<double>(h >> 11) * 0x1.0p-53 * 1.0};
+    *rtt += Rtt{static_cast<double>(h >> 11) * 0x1.0p-53 * 1.0};
   }
-  rtt_hist.record(rtt.ms);
+  rtt_hist.record(rtt->ms);
   return rtt;
 }
 
@@ -347,7 +330,7 @@ std::optional<bgp::TracerouteResult> Lab::traceroute(const atlas::Probe& probe,
   if (!info) return std::nullopt;
   const bgp::Route* route = info->handle->route_for(probe.asn, info->region);
   if (route == nullptr) return std::nullopt;
-  if (!traceroute_answers(measurement_faults_, probe.id, address)) return std::nullopt;
+  if (!answers<kTraceGate>(measurement_faults_, probe.id, address.bits())) return std::nullopt;
   const cdn::Site& site = info->handle->deployment.site(route->origin_site);
   return bgp::synth_traceroute(*route, probe.city, probe.asn, probe.access_extra_ms,
                                site.onsite_router, address, config_.latency,
@@ -396,7 +379,7 @@ std::vector<std::optional<bgp::TracerouteResult>> Lab::traceroute_all(
     calls.add();
     const bgp::Route* route = info->handle->route_for(probe.asn, info->region);
     if (route == nullptr) continue;
-    if (!traceroute_answers(measurement_faults_, probe.id, address)) continue;
+    if (!answers<kTraceGate>(measurement_faults_, probe.id, address.bits())) continue;
     routes[i] = route;
     const cdn::Site& site = info->handle->deployment.site(route->origin_site);
     bgp::for_each_traceroute_interface(
@@ -420,9 +403,9 @@ std::vector<std::optional<bgp::TracerouteResult>> Lab::traceroute_all(
 }
 
 std::optional<SiteId> Lab::catchment_of(const atlas::Probe& probe, Ipv4Addr address) const {
-  const bgp::Route* route = route_of(probe, address);
-  if (route == nullptr) return std::nullopt;
-  return route->origin_site;
+  const auto info = locate_address(address);
+  if (!info) return std::nullopt;
+  return info->handle->catchment(probe.asn, info->region);
 }
 
 }  // namespace ranycast::lab

@@ -54,11 +54,11 @@ AnyOptModel AnyOptModel::learn(lab::Lab& lab, const cdn::DeploymentSpec& spec) {
       const auto& handle = lab.add_deployment(subset_spec(spec, pair, "-pairwise"));
       const std::size_t bit = model.pair_index(i, j);
       for (const auto& [asn, idx] : clients) {
-        const bgp::Route* r = handle.route_for(asn, 0);
-        if (r == nullptr) continue;
+        const auto site = handle.catchment(asn, 0);
+        if (!site) continue;
         model.observed_[idx] = true;
         // Site 0 of the pairwise deployment is base site i.
-        if (r->origin_site == SiteId{0}) model.winner_[idx][bit] = true;
+        if (*site == SiteId{0}) model.winner_[idx][bit] = true;
       }
     }
   }
@@ -97,11 +97,11 @@ double AnyOptModel::validate(lab::Lab& lab, const lab::DeploymentHandle& full) c
   for (std::size_t i = 0; i < n_sites_; ++i) all[i] = i;
   std::size_t correct = 0, total = 0;
   for (const atlas::Probe* p : lab.census().retained()) {
-    const bgp::Route* r = full.route_for(p->asn, 0);
+    const auto site = full.catchment(p->asn, 0);
     const auto predicted = predict(p->asn, all);
-    if (r == nullptr || !predicted) continue;
+    if (!site || !predicted) continue;
     ++total;
-    if (static_cast<std::size_t>(value(r->origin_site)) == *predicted) ++correct;
+    if (static_cast<std::size_t>(value(*site)) == *predicted) ++correct;
   }
   return total > 0 ? static_cast<double>(correct) / static_cast<double>(total) : 0.0;
 }

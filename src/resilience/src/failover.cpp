@@ -47,15 +47,14 @@ FailoverReport fail_site(lab::Lab& lab, const lab::DeploymentHandle& before, Sit
   std::vector<double> before_ms, after_ms;
   for (const atlas::Probe* p : lab.census().retained()) {
     const auto answer = lab.dns_lookup(*p, before, dns::QueryMode::Ldns);
-    const bgp::Route* r_before = before.route_for(p->asn, answer.region);
-    if (r_before == nullptr || r_before->origin_site != site) continue;
+    if (before.catchment(p->asn, answer.region) != site) continue;
     ++report.affected_probes;
     const auto rtt_before = lab.ping(*p, answer.address);
     if (rtt_before) before_ms.push_back(rtt_before->ms);
 
     // Same DNS answer (DNS does not react to BGP withdrawals), new routing.
-    const bgp::Route* r_after = after.route_for(p->asn, answer.region);
-    if (r_after == nullptr) {
+    const auto site_after = after.catchment(p->asn, answer.region);
+    if (!site_after) {
       // The probe's own regional prefix is gone entirely — the failed site
       // was its only announcer (§4.5's one-site region). The service still
       // survives if another region's prefix, being globally routed, is
@@ -63,7 +62,7 @@ FailoverReport fail_site(lab::Lab& lab, const lab::DeploymentHandle& before, Sit
       std::optional<Rtt> best;
       for (std::size_t r2 = 0; r2 < after.deployment.regions().size(); ++r2) {
         if (r2 == answer.region) continue;
-        if (after.route_for(p->asn, r2) == nullptr) continue;
+        if (!after.catchment(p->asn, r2)) continue;
         const auto rtt = lab.ping(*p, after.deployment.regions()[r2].service_ip);
         if (rtt && (!best || *rtt < *best)) best = rtt;
       }
@@ -77,7 +76,7 @@ FailoverReport fail_site(lab::Lab& lab, const lab::DeploymentHandle& before, Sit
     const auto rtt_after =
         lab.ping(*p, after.deployment.regions()[answer.region].service_ip);
     if (rtt_after) after_ms.push_back(rtt_after->ms);
-    const auto& failover_site = after.deployment.site(r_after->origin_site);
+    const auto& failover_site = after.deployment.site(*site_after);
     if (failover_site.announces(answer.region)) {
       // Failover stayed within the announced region by construction; count
       // whether it also stayed within the same geographic area.

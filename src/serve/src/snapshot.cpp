@@ -25,10 +25,9 @@ WorldSnapshot build_snapshot(lab::Lab& laboratory, const lab::DeploymentHandle& 
     e.region = static_cast<std::uint16_t>(answer.region);
     e.degraded = answer.degraded;
     e.site = value(kInvalidSite);
-    const bgp::Route* route = handle.route_for(p->asn, answer.region);
-    if (route != nullptr) {
+    if (const auto site = handle.catchment(p->asn, answer.region)) {
       e.routed = true;
-      e.site = value(route->origin_site);
+      e.site = value(*site);
       const auto rtt = laboratory.ping(*p, answer.address);
       e.rtt_ms = rtt ? rtt->ms : 0.0;
     }

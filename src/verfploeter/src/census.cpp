@@ -12,9 +12,9 @@ CatchmentCensus full_census(const lab::Lab& lab, const lab::DeploymentHandle& ha
   CatchmentCensus census;
   for (const topo::AsNode& node : lab.world().graph.nodes()) {
     if (node.kind != topo::AsKind::Stub) continue;
-    const bgp::Route* r = handle.route_for(node.asn, region);
-    if (r == nullptr) continue;
-    census.by_site[r->origin_site]++;
+    const auto site = handle.catchment(node.asn, region);
+    if (!site) continue;
+    census.by_site[*site]++;
     census.total++;
   }
   return census;
@@ -34,9 +34,9 @@ CatchmentCensus probe_estimate(const lab::Lab& lab, const lab::DeploymentHandle&
   std::set<std::uint32_t> seen_ases;
   for (const atlas::Probe* p : retained) {
     if (!seen_ases.insert(value(p->asn)).second) continue;  // one vote per AS
-    const bgp::Route* r = handle.route_for(p->asn, region);
-    if (r == nullptr) continue;
-    census.by_site[r->origin_site]++;
+    const auto site = handle.catchment(p->asn, region);
+    if (!site) continue;
+    census.by_site[*site]++;
     census.total++;
   }
   return census;

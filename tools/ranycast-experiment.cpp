@@ -178,8 +178,7 @@ int run_traffic(lab::Lab& laboratory, bool csv, const flags::Parser& args) {
   std::unordered_map<std::uint16_t, int> counts;
   for (const atlas::Probe* p : laboratory.census().retained()) {
     const auto answer = laboratory.dns_lookup(*p, handle, dns::QueryMode::Ldns);
-    const bgp::Route* r = handle.route_for(p->asn, answer.region);
-    if (r != nullptr) counts[value(r->origin_site)]++;
+    if (const auto site = handle.catchment(p->asn, answer.region)) counts[value(*site)]++;
   }
   std::uint16_t victim = 0;
   int best = -1;
