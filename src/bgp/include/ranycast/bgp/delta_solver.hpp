@@ -11,26 +11,27 @@
 // (Ramalingam–Reps style: each inconsistent node is re-decided from its
 // neighbors' current values in global key order).
 //
-// Equality guarantee: the spliced outcome is byte-identical to a
+// Equality guarantee: the re-solved outcome is byte-identical to a
 // from-scratch solve_anycast over the mutated inputs. The selection keys
 // (class, path length, ingress distance, 64-bit tie-break hash, node) are
 // strictly monotone along export chains — extending a route lengthens it —
 // so the selection fixpoint is unique and the frontier propagation and the
 // full Dijkstra land on the same one. The guarantee is enforced three ways:
 // always-on differential tests (tests/bgp/test_delta_solver.cpp), the
-// chaos soak's per-step report byte-equality (tests/chaos/test_delta_soak),
-// and a sampled in-engine verify mode (DeltaConfig::verify_every) that
-// re-solves from scratch every Nth step and self-heals on mismatch.
+// chaos soak's per-step comparison of every region's outcome against a
+// scratch solve_anycast (tests/chaos/test_delta_soak), and a sampled
+// in-engine verify mode (DeltaConfig::verify_every) that re-solves from
+// scratch every Nth step and self-heals on mismatch.
 //
-// Fallback: when the frontier exceeds fallback_frac of all nodes (e.g. a
+// Fallback: when the frontier exceeds a fixed quarter of all nodes (e.g. a
 // regional withdrawal invalidating most of the plane) the incremental pass
-// aborts and a full SoA solve re-primes the state — never slower than the
-// non-delta path by more than the abandoned frontier walk.
+// aborts and a full SoA solve re-primes the state — never slower than a
+// from-scratch solve by more than the abandoned frontier walk.
 //
 // Concurrency: one DeltaSolver belongs to one deployment; distinct regions
 // hold distinct planes/arenas and may be resolved concurrently. Mutation
 // (resolve/prime) and measurement (route_for on emitted outcomes) must be
-// serialized per region, exactly like lab::Lab::resolve.
+// serialized per region, exactly like lab::Lab::resolve_delta.
 #pragma once
 
 #include <cstdint>
@@ -63,30 +64,31 @@ struct SolveDelta {
   std::vector<LinkDelta> links;
   std::vector<std::vector<OriginChange>> origins;
 
-  bool empty() const noexcept {
-    if (!links.empty()) return false;
-    for (const auto& r : origins) {
-      if (!r.empty()) return false;
-    }
-    return true;
+  /// Region r's origination changes.
+  std::span<const OriginChange> origin_changes(std::size_t r) const noexcept {
+    return r < origins.size() ? std::span<const OriginChange>(origins[r])
+                              : std::span<const OriginChange>{};
+  }
+  /// Whether region r's outcome can change: a link moved (every prefix
+  /// crosses the graph) or r's own origin set did. Each region is its own
+  /// prefix, so another region's originations are not r's input.
+  bool touches(std::size_t r) const noexcept {
+    return !links.empty() || !origin_changes(r).empty();
   }
 };
 
+/// The checker: when verify_every is nonzero, every Nth resolve of each
+/// region also runs a from-scratch solve, compares outcomes and self-heals
+/// on mismatch.
 struct DeltaConfig {
-  /// Master switch consulted by the call sites (chaos::Engine,
-  /// resilience::fail_site); the solver itself always works when invoked.
-  bool enabled{false};
-  /// Fall back to a full re-solve when the touched frontier exceeds this
-  /// fraction of all ASes.
-  double fallback_frac{0.25};
-  /// When nonzero, every Nth resolve of each region also runs a
-  /// from-scratch solve, compares outcomes and self-heals on mismatch.
   std::uint32_t verify_every{0};
 };
 
-/// Accounting for one resolve (or a merge over regions/steps).
+/// Accounting for one resolve (or a merge over regions/steps). A region a
+/// deployment-level re-solve skips (lab::Lab::resolve_delta: no link change
+/// and no origin change of its own) is not counted at all.
 struct DeltaStats {
-  std::size_t regions{0};        ///< regions resolved
+  std::size_t regions{0};        ///< regions resolved (primed or re-solved)
   std::size_t delta_regions{0};  ///< solved incrementally
   std::size_t full_regions{0};   ///< primed or fell back to full
   std::size_t affected_ases{0};  ///< final-plane entries that changed
@@ -114,7 +116,8 @@ std::vector<OriginChange> diff_origin_changes(std::span<const OriginAttachment> 
 
 /// Retained per-deployment incremental state: one selection-plane set per
 /// region. prime() runs the full SoA solve and installs the planes;
-/// resolve() splices only the affected entries.
+/// resolve() re-decides only the affected rows. Either returns the outcome
+/// read off the region's final-selection plane.
 class DeltaSolver {
  public:
   DeltaSolver(const topo::Graph& graph, Asn cdn_asn, std::size_t regions,
@@ -137,7 +140,9 @@ class DeltaSolver {
   /// Incremental re-solve of a primed region. `origins` is the post-delta
   /// origin set; `changes`/`links` describe how it and the graph moved
   /// since the previous prime()/resolve(). Falls back to a full re-prime
-  /// when the frontier exceeds the configured threshold.
+  /// when the frontier exceeds a quarter of all ASes. Throws
+  /// std::logic_error for a region that was never primed: its tie-break
+  /// seed is only known to prime().
   RoutingOutcome resolve(std::size_t region, std::span<const OriginAttachment> origins,
                          std::span<const OriginChange> changes,
                          std::span<const LinkDelta> links, DeltaStats* stats = nullptr);
@@ -145,9 +150,6 @@ class DeltaSolver {
   /// Deep copy (planes + arenas), for deriving a deployment from a base
   /// one (resilience::fail_site reuses the base's primed planes).
   std::unique_ptr<DeltaSolver> clone() const;
-
-  const DeltaConfig& config() const noexcept { return cfg_; }
-  std::size_t region_count() const noexcept { return regions_.size(); }
 
  private:
   struct RegionState;

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <limits>
 #include <queue>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -28,6 +30,9 @@ namespace delta_detail {
 
 constexpr std::uint32_t kNoPath = PathArena::kNone;
 constexpr std::size_t kInfLen = std::numeric_limits<std::size_t>::max();
+/// An incremental pass gives up (and the region is solved in full) once its
+/// touched frontier exceeds this fraction of all ASes.
+constexpr double kFallbackFrac = 0.25;
 
 /// One selection stage's results as parallel arrays over dense node index.
 /// `path == kNoPath` gates occupancy, exactly like CompactRoute::valid().
@@ -68,6 +73,24 @@ struct SavedRow {
   std::uint64_t hash_base{0};
   std::uint64_t tiebreak{0};
 };
+
+/// The outcome rows of a final-selection plane (the lanes of an empty row
+/// are stale, so only occupied rows are copied).
+std::vector<RoutingOutcome::Entry> entries_of(const Plane& f) {
+  const std::size_t n = f.path.size();
+  std::vector<RoutingOutcome::Entry> entries(n);
+  RoutingOutcome::Entry* out = entries.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!f.valid(i)) continue;
+    out[i].path = f.path[i];
+    out[i].len = f.len[i];
+    out[i].origin_site = f.site[i];
+    out[i].cls = static_cast<RouteClass>(f.cls[i]);
+    out[i].ingress_km = f.ingress[i];
+    out[i].tiebreak = f.tiebreak[i];
+  }
+  return entries;
+}
 
 SavedRow save_row(const Plane& p, std::size_t i) {
   return SavedRow{p.path[i],      p.len[i],     p.cls[i],       p.site[i],
@@ -385,21 +408,7 @@ struct SoaEngine {
     }
   }
 
-  void emit_entries(std::vector<RoutingOutcome::Entry>& entries) const {
-    entries.assign(n, RoutingOutcome::Entry{});
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!f.valid(i)) continue;
-      entries[i] = RoutingOutcome::Entry{f.path[i],
-                                         f.len[i],
-                                         f.site[i],
-                                         static_cast<RouteClass>(f.cls[i]),
-                                         f.ingress[i],
-                                         f.tiebreak[i]};
-    }
-  }
-
-  void full_solve(std::span<const OriginAttachment> origin_set,
-                  std::vector<RoutingOutcome::Entry>& entries) {
+  void full_solve(std::span<const OriginAttachment> origin_set) {
     static obs::Histogram& h_total =
         obs::MetricsRegistry::global().histogram("bgp.solve.total_us");
     obs::Span solve_span("bgp.solve");
@@ -422,7 +431,6 @@ struct SoaEngine {
       registry.counter("bgp.solve.select.tiebreak_hash").add(tiebreak_hash);
       registry.counter("bgp.solve.arena_nodes").add(arena.size());
     }
-    emit_entries(entries);
   }
 
   // ---- incremental pass ----------------------------------------------------
@@ -590,8 +598,7 @@ class Worklist {
 bool incremental_solve(SoaEngine& eng, std::span<const OriginAttachment> origin_set,
                        std::span<const OriginChange> changes,
                        std::span<const LinkDelta> links, std::size_t touch_budget,
-                       std::vector<RoutingOutcome::Entry>& entries, std::size_t& affected,
-                       std::size_t& touched) {
+                       std::size_t& affected, std::size_t& touched) {
   obs::Span span("bgp.solve.delta");
   static obs::Histogram& h_total =
       obs::MetricsRegistry::global().histogram("bgp.delta.solve_us");
@@ -697,22 +704,10 @@ bool incremental_solve(SoaEngine& eng, std::span<const OriginAttachment> origin_
   }
   if (!stage3.run(touch_budget)) return false;
 
-  // ---- splice the affected entries over the previous outcome.
   affected = 0;
   touched = stage1.saved().size() + dirty2.size() + stage3.saved().size();
   for (const auto& [x, orig] : stage3.saved()) {
-    if (!row_differs(eng.f, x, orig)) continue;
-    ++affected;
-    if (eng.f.valid(x)) {
-      entries[x] = RoutingOutcome::Entry{eng.f.path[x],
-                                         eng.f.len[x],
-                                         eng.f.site[x],
-                                         static_cast<RouteClass>(eng.f.cls[x]),
-                                         eng.f.ingress[x],
-                                         eng.f.tiebreak[x]};
-    } else {
-      entries[x] = RoutingOutcome::Entry{};
-    }
+    if (row_differs(eng.f, x, orig)) ++affected;
   }
   return true;
 }
@@ -727,9 +722,8 @@ RoutingOutcome solve_anycast(const topo::Graph& graph, Asn cdn_asn,
   auto arena = std::make_shared<PathArena>();
   dd::Plane c, s, f;
   dd::SoaEngine engine(graph, cdn_asn, seed, *arena, c, s, f);
-  std::vector<RoutingOutcome::Entry> entries;
-  engine.full_solve(origins, entries);
-  return RoutingOutcome{&graph, cdn_asn, std::move(entries),
+  engine.full_solve(origins);
+  return RoutingOutcome{&graph, cdn_asn, dd::entries_of(f),
                         std::shared_ptr<const PathArena>(std::move(arena))};
 }
 
@@ -772,8 +766,20 @@ struct DeltaSolver::RegionState {
   std::uint64_t seed{0};
   std::uint64_t resolve_count{0};
   std::shared_ptr<PathArena> arena;
-  delta_detail::Plane c, s, f;
-  std::vector<RoutingOutcome::Entry> entries;
+  delta_detail::Plane c, s, f;  // f is the final selection the outcome reads
+
+  /// Full SoA solve into a fresh (compacted) arena; primes the region.
+  void solve_full(const topo::Graph& graph, Asn cdn, std::span<const OriginAttachment> origins) {
+    arena = std::make_shared<PathArena>();
+    delta_detail::SoaEngine engine(graph, cdn, seed, *arena, c, s, f);
+    engine.full_solve(origins);
+    primed = true;
+  }
+
+  RoutingOutcome outcome(const topo::Graph& graph, Asn cdn) const {
+    return RoutingOutcome{&graph, cdn, delta_detail::entries_of(f),
+                          std::shared_ptr<const PathArena>(arena)};
+  }
 };
 
 DeltaSolver::DeltaSolver(const topo::Graph& graph, Asn cdn_asn, std::size_t regions,
@@ -820,16 +826,12 @@ RoutingOutcome DeltaSolver::prime(std::size_t region,
                                   std::uint64_t seed, DeltaStats* stats) {
   RegionState& st = *regions_[region];
   st.seed = seed;
-  st.arena = std::make_shared<PathArena>();
-  delta_detail::SoaEngine engine(*graph_, cdn_asn_, seed, *st.arena, st.c, st.s, st.f);
-  engine.full_solve(origins, st.entries);
-  st.primed = true;
+  st.solve_full(*graph_, cdn_asn_, origins);
   if (stats != nullptr) {
     ++stats->regions;
     ++stats->full_regions;
   }
-  return RoutingOutcome{graph_, cdn_asn_, st.entries,
-                        std::shared_ptr<const PathArena>(st.arena)};
+  return st.outcome(*graph_, cdn_asn_);
 }
 
 RoutingOutcome DeltaSolver::resolve(std::size_t region,
@@ -838,21 +840,24 @@ RoutingOutcome DeltaSolver::resolve(std::size_t region,
                                     std::span<const LinkDelta> links, DeltaStats* stats) {
   namespace dd = delta_detail;
   RegionState& st = *regions_[region];
+  if (!st.primed) {
+    throw std::logic_error("DeltaSolver::resolve: region " + std::to_string(region) +
+                           " was never primed");
+  }
   const std::size_t n = graph_->nodes().size();
   DeltaStats local;
   local.regions = 1;
 
   const std::size_t budget = std::max<std::size_t>(
-      64, static_cast<std::size_t>(cfg_.fallback_frac * static_cast<double>(n)));
+      64, static_cast<std::size_t>(dd::kFallbackFrac * static_cast<double>(n)));
   // Re-prime (compacting the arena) when accumulated splice garbage
   // dominates the live paths.
-  bool full = !st.primed || st.arena->size() > 32 * n + 4096;
+  bool full = st.arena->size() > 32 * n + 4096;
   if (!full) {
     dd::SoaEngine engine(*graph_, cdn_asn_, st.seed, *st.arena, st.c, st.s, st.f);
     std::size_t affected = 0;
     std::size_t touched = 0;
-    if (dd::incremental_solve(engine, origins, changes, links, budget, st.entries,
-                              affected, touched)) {
+    if (dd::incremental_solve(engine, origins, changes, links, budget, affected, touched)) {
       local.delta_regions = 1;
       local.affected_ases = affected;
       local.touched_ases = touched;
@@ -861,15 +866,11 @@ RoutingOutcome DeltaSolver::resolve(std::size_t region,
     }
   }
   if (full) {
-    st.arena = std::make_shared<PathArena>();
-    dd::SoaEngine engine(*graph_, cdn_asn_, st.seed, *st.arena, st.c, st.s, st.f);
-    engine.full_solve(origins, st.entries);
-    st.primed = true;
+    st.solve_full(*graph_, cdn_asn_, origins);
     local.full_regions = 1;
   }
 
-  RoutingOutcome out{graph_, cdn_asn_, st.entries,
-                     std::shared_ptr<const PathArena>(st.arena)};
+  RoutingOutcome out = st.outcome(*graph_, cdn_asn_);
 
   if (cfg_.verify_every != 0 && ++st.resolve_count % cfg_.verify_every == 0) {
     local.verified = 1;
@@ -878,11 +879,8 @@ RoutingOutcome DeltaSolver::resolve(std::size_t region,
       // Self-heal: discard the incremental state and use the from-scratch
       // result; the mismatch is surfaced through stats/counters.
       local.mismatches = 1;
-      st.arena = std::make_shared<PathArena>();
-      dd::SoaEngine engine(*graph_, cdn_asn_, st.seed, *st.arena, st.c, st.s, st.f);
-      engine.full_solve(origins, st.entries);
-      out = RoutingOutcome{graph_, cdn_asn_, st.entries,
-                           std::shared_ptr<const PathArena>(st.arena)};
+      st.solve_full(*graph_, cdn_asn_, origins);
+      out = st.outcome(*graph_, cdn_asn_);
     }
   }
 
@@ -917,7 +915,6 @@ std::unique_ptr<DeltaSolver> DeltaSolver::clone() const {
     dst.c = src.c;
     dst.s = src.s;
     dst.f = src.f;
-    dst.entries = src.entries;
   }
   return out;
 }

@@ -74,7 +74,7 @@ class Deployment {
   //
   // These mutate the announcement state so failure scenarios can be applied
   // and rolled back without allocating fresh prefixes or rebuilding the
-  // deployment; callers re-solve routing afterwards (lab::Lab::resolve).
+  // deployment; callers re-solve routing afterwards (lab::Lab::resolve_delta).
 
   /// Withdraw every announcement of `site`. Returns the region list it
   /// announced before (pass it back to `restore_site` to undo).

@@ -4,9 +4,11 @@
 // Each step: (1) take the before-pass — every retained probe's DNS answer,
 // selected route and RTT, (2) apply the fault mutation in place
 // (announcement state, adjacency state, geo-DB mode, measurement-plane
-// degradation or demand), (3) re-solve the deployment's regional prefixes
-// over the mutated world with the original tie-break salts, (4) take the
-// after-pass and reduce the deltas into a StepReport.
+// degradation or demand), (3) re-solve the regional prefixes the mutation
+// touched over the mutated world with the original tie-break salts
+// (lab::Lab::resolve_delta: a link or route-server event touches every
+// prefix, an announcement change only the prefixes of that site), (4) take
+// the after-pass and reduce the deltas into a StepReport.
 //
 // Measurements are pure in lab state, so each lab state is measured once:
 // step i's after-pass (and post-fault traffic solve) is step i+1's
@@ -132,16 +134,10 @@ class Engine {
   /// traffic run never resumes from (or into) a load-free checkpoint.
   void enable_traffic(const traffic::TrafficConfig& cfg);
 
-  /// Route every subsequent re-solve through the incremental delta solver
-  /// (bgp::DeltaSolver via Lab::resolve_delta): each fault is turned into a
-  /// topology/origination delta and only the affected ASes re-decide.
-  /// Purely an optimization — step reports, checkpoints and resume
-  /// fingerprints are byte-identical with it on or off; per-step locality
-  /// lands in the chaos.delta.* counters and journal fields.
-  void enable_delta(const bgp::DeltaConfig& cfg);
-
-  /// Accounting of the last applied step's delta re-solve; nullopt when the
-  /// step did not reroute or the delta path is off.
+  /// Accounting of the last applied event's re-solve (set on every routing
+  /// event: each is turned into a bgp::SolveDelta for Lab::resolve_delta);
+  /// nullopt after a non-routing event. The same accounting lands in the
+  /// chaos.delta.* counters and the chaos_step journal fields.
   const std::optional<bgp::DeltaStats>& last_step_delta() const noexcept {
     return last_step_delta_;
   }

@@ -298,8 +298,7 @@ void journal_step(const StepReport& s, std::uint64_t dur_ns,
       F::f64_field("after_p90_ms", s.after_p90_ms),
       F::u64_field("degraded_dns_answers", s.degraded_dns_answers),
       F::u64_field("lost_pings", s.lost_pings), F::u64_field("dur_ns", dur_ns)};
-  // Delta-locality accounting, present only on steps re-solved through the
-  // incremental path (the report format itself is delta-independent).
+  // Re-solve accounting, present on routing steps only.
   if (delta) {
     fields.push_back(F::u64_field("delta_affected_ases", delta->affected_ases));
     fields.push_back(F::u64_field("delta_fallback_full", delta->full_regions));
@@ -371,11 +370,6 @@ void Engine::enable_traffic(const traffic::TrafficConfig& cfg) {
   traffic_cfg_ = cfg;
   flow_cache_.reset();
   groups_built_ = false;
-}
-
-void Engine::enable_delta(const bgp::DeltaConfig& cfg) {
-  lab_.set_delta_config(cfg);
-  last_step_delta_.reset();
 }
 
 const traffic::FlowSet& Engine::current_flows() {
@@ -471,14 +465,11 @@ std::string Engine::apply(const FaultEvent& e, Changes* changed) {
   // Demand (traffic_surge/_restore) is no measurement input at all.
   Changes changes;
   last_step_delta_.reset();
-  // Incremental path: describe the mutation to the solver instead of only
-  // performing it. Origin sets are captured around the switch (works for
-  // every fault kind uniformly); link-state faults also record the toggled
-  // adjacencies.
-  const bool delta_on = lab_.delta_config().enabled;
+  // Describe the mutation to the solver as well as performing it. Origin
+  // sets are captured around the switch (works for every fault kind
+  // uniformly); link-state faults also record the toggled adjacencies.
   bgp::SolveDelta delta;
-  std::vector<std::vector<bgp::OriginAttachment>> origins_before;
-  if (delta_on) origins_before = converge::origins_by_region(dep);
+  const auto origins_before = converge::origins_by_region(dep);
   switch (e.kind) {
     case FaultKind::SiteWithdraw: {
       if (value(e.site) >= sites) return "unknown site " + std::to_string(value(e.site));
@@ -516,7 +507,7 @@ std::string Engine::apply(const FaultEvent& e, Changes* changed) {
         return "no adjacency between AS" + std::to_string(value(e.a)) + " and AS" +
                std::to_string(value(e.b));
       }
-      if (delta_on) delta.links.push_back(bgp::LinkDelta{e.a, e.b, up});
+      delta.links.push_back(bgp::LinkDelta{e.a, e.b, up});
       changes.routes = true;
       break;
     }
@@ -527,10 +518,8 @@ std::string Engine::apply(const FaultEvent& e, Changes* changed) {
       }
       const bool up = e.kind == FaultKind::RouteServerUp;
       lab_.graph_mut().set_route_server_state(e.ixp, up);
-      if (delta_on) {
-        for (const auto& [a, b] : lab_.world().graph.route_server_peerings(e.ixp)) {
-          delta.links.push_back(bgp::LinkDelta{a, b, up});
-        }
+      for (const auto& [a, b] : lab_.world().graph.route_server_peerings(e.ixp)) {
+        delta.links.push_back(bgp::LinkDelta{a, b, up});
       }
       changes.routes = true;
       break;
@@ -610,24 +599,20 @@ std::string Engine::apply(const FaultEvent& e, Changes* changed) {
   }
   if (changed != nullptr) *changed = changes;
   if (changes.routes) {
-    if (delta_on) {
-      const auto origins_after = converge::origins_by_region(dep);
-      delta.origins.resize(origins_after.size());
-      for (std::size_t r = 0; r < origins_after.size(); ++r) {
-        delta.origins[r] = bgp::diff_origin_changes(origins_before[r], origins_after[r]);
-      }
-      const bgp::DeltaStats stats = lab_.resolve_delta(*handle_, delta);
-      last_step_delta_ = stats;
-      if (obs::enabled()) {
-        auto& reg = metrics();
-        reg.counter("chaos.delta.steps").add(1);
-        reg.counter("chaos.delta.affected_ases").add(stats.affected_ases);
-        reg.counter("chaos.delta.fallback_full").add(stats.full_regions);
-        reg.histogram("chaos.delta.affected_ases")
-            .record(static_cast<double>(stats.affected_ases));
-      }
-    } else {
-      lab_.resolve(*handle_);
+    const auto origins_after = converge::origins_by_region(dep);
+    delta.origins.resize(origins_after.size());
+    for (std::size_t r = 0; r < origins_after.size(); ++r) {
+      delta.origins[r] = bgp::diff_origin_changes(origins_before[r], origins_after[r]);
+    }
+    const bgp::DeltaStats stats = lab_.resolve_delta(*handle_, delta);
+    last_step_delta_ = stats;
+    if (obs::enabled()) {
+      auto& reg = metrics();
+      reg.counter("chaos.delta.steps").add(1);
+      reg.counter("chaos.delta.affected_ases").add(stats.affected_ases);
+      reg.counter("chaos.delta.fallback_full").add(stats.full_regions);
+      reg.histogram("chaos.delta.affected_ases")
+          .record(static_cast<double>(stats.affected_ases));
     }
   }
   return "";

@@ -139,8 +139,8 @@ std::string summarize(const JournalFile& journal) {
   std::set<std::uint64_t> step_indexes;
   std::string stop_reason;
   // Delta-locality rollup over the chaos_step events that carry the
-  // incremental-resolve fields (runs with --delta): how local each fault
-  // actually was, and how often the frontier fell back to a full solve.
+  // re-solve fields (every routing step): how local each fault actually
+  // was, and how often a region was solved in full (primed or fell back).
   std::size_t delta_steps = 0;
   std::uint64_t delta_affected = 0;
   std::uint64_t delta_fallbacks = 0;
@@ -174,7 +174,7 @@ std::string summarize(const JournalFile& journal) {
   if (delta_steps > 0) {
     std::snprintf(buf, sizeof buf,
                   "delta re-solves: %zu steps, %llu affected ASes (mean %.1f/step), "
-                  "%llu full fallbacks\n",
+                  "%llu regions solved in full\n",
                   delta_steps, static_cast<unsigned long long>(delta_affected),
                   static_cast<double>(delta_affected) / static_cast<double>(delta_steps),
                   static_cast<unsigned long long>(delta_fallbacks));

@@ -32,10 +32,11 @@ namespace ranycast::lab {
 struct DeploymentHandle {
   cdn::Deployment deployment;
   std::vector<bgp::RoutingOutcome> outcomes;  ///< one per region
-  /// Retained incremental-solver state (selection planes per region);
-  /// created lazily by Lab::resolve_delta / add_deployment_derived when the
-  /// delta path is enabled, null otherwise. A full resolve() discards it
-  /// (the planes would be stale against the re-solved outcomes).
+  /// Retained incremental-solver state (selection planes per region).
+  /// Null until the first Lab::resolve_delta or add_deployment_derived on
+  /// this handle, which create it with no region primed; a region is primed
+  /// (solved in full) the first time an event touches it. A derived handle
+  /// keeps none.
   std::unique_ptr<bgp::DeltaSolver> delta;
 
   const bgp::Route* route_for(Asn client, std::size_t region) const {
@@ -102,7 +103,8 @@ class Lab {
   const topo::World& world() const noexcept { return *world_; }
   /// Mutable topology access for fault injection. After mutating the graph
   /// (link state, route-server state), previously solved deployment handles
-  /// hold stale routes until re-solved with `resolve()`.
+  /// hold stale routes until re-solved with `resolve_delta()`, told which
+  /// adjacencies moved.
   topo::Graph& graph_mut() noexcept { return world_->graph; }
   topo::IpRegistry& registry() noexcept { return registry_; }
   const atlas::ProbeCensus& census() const noexcept { return census_; }
@@ -129,34 +131,34 @@ class Lab {
   /// by add_deployment on this Lab; returns nullptr otherwise.
   DeploymentHandle* handle_mut(const DeploymentHandle& handle) noexcept;
 
-  /// Re-solve every regional prefix of a registered deployment in place,
-  /// with the same per-region tie-break salts as the original solve — the
-  /// re-solve-after-mutation operation the chaos engine is built on. The
-  /// routes referenced by earlier route_for() calls are invalidated.
-  /// Discards any retained incremental-solver state on the handle.
-  void resolve(DeploymentHandle& handle) const;
+  // ---- re-solving after a mutation (see bgp/delta_solver.hpp) ----
 
-  // ---- incremental delta re-solving (see bgp/delta_solver.hpp) ----
-
-  /// Runtime knob, deliberately outside LabConfig: the delta path is an
-  /// optimization, not a semantic, so it must not enter config fingerprints
-  /// (chaos resume compares them). Also settable via the environment:
-  /// RANYCAST_DELTA=1 enables, RANYCAST_DELTA_VERIFY=N samples an in-engine
-  /// differential check every Nth region resolve.
+  /// The in-engine checker of every later-created solver: with
+  /// verify_every = N, every Nth re-solve of a region is compared against a
+  /// scratch solve (and self-heals on mismatch). Deliberately outside
+  /// LabConfig: checking changes no result, so it must not enter config
+  /// fingerprints (chaos resume compares them).
   void set_delta_config(const bgp::DeltaConfig& cfg) noexcept { delta_cfg_ = cfg; }
-  const bgp::DeltaConfig& delta_config() const noexcept { return delta_cfg_; }
 
-  /// resolve(), but told what changed: re-decides only the ASes the delta
-  /// can affect, splicing into outcomes byte-identical to a full resolve().
-  /// Primes the handle's solver state on first use; falls back to resolve()
-  /// when the delta path is disabled. Returns per-step accounting.
+  /// Re-solve a registered deployment in place after a mutation described
+  /// by `delta` (the graph and announcement changes already applied), with
+  /// the same per-region tie-break salts as add_deployment — the operation
+  /// the chaos engine is built on. A region re-solves only when the delta
+  /// has a link change or an origin change of that region; every other
+  /// region keeps its outcome object, so route_for() pointers into it stay
+  /// valid (those into re-solved regions are invalidated). A touched region
+  /// is primed (solved in full) the first time, then re-decides only the
+  /// ASes the delta can affect; outcomes are byte-identical to a
+  /// from-scratch solve. Returns the accounting of the regions re-solved.
   bgp::DeltaStats resolve_delta(DeploymentHandle& handle, const bgp::SolveDelta& delta) const;
 
   /// Register a deployment derived from `base` by `delta` (e.g. a site
-  /// failure: resilience::fail_site), reusing base's primed selection
-  /// planes instead of solving every region from scratch. `base`'s
-  /// outcomes are left untouched. Falls back to add_deployment when the
-  /// delta path is disabled or the region sets are incompatible.
+  /// failure: resilience::fail_site): primes every base region not yet
+  /// primed, then splices `delta` into a copy of base's selection planes
+  /// instead of solving every region from scratch. `base`'s outcomes are
+  /// left untouched. The derived handle keeps no solver (`delta` is null).
+  /// Falls back to add_deployment when `base` is not registered here or
+  /// the region sets or origin ASes differ.
   const DeploymentHandle& add_deployment_derived(const DeploymentHandle& base,
                                                  cdn::Deployment deployment,
                                                  const bgp::SolveDelta& delta);

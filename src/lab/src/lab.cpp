@@ -1,7 +1,5 @@
 #include "ranycast/lab/lab.hpp"
 
-#include <cstdlib>
-
 #include "ranycast/exec/pool.hpp"
 #include "ranycast/obs/span.hpp"
 
@@ -83,6 +81,30 @@ std::vector<bgp::RoutingOutcome> solve_regions(const Lab& laboratory,
   return outcomes;
 }
 
+/// The handle's incremental solver, created with no region primed on first
+/// use.
+bgp::DeltaSolver& solver_of(const Lab& laboratory, DeploymentHandle& handle,
+                            const bgp::DeltaConfig& cfg) {
+  if (!handle.delta) {
+    handle.delta = std::make_unique<bgp::DeltaSolver>(
+        laboratory.world().graph, handle.deployment.asn(), handle.deployment.regions().size(),
+        cfg);
+  }
+  return *handle.delta;
+}
+
+/// Prime region r of `solver` from `dep`'s current origins with the salt
+/// add_deployment solved it with, unless it is primed already. Returns the
+/// primed outcome, nullopt when nothing ran.
+std::optional<bgp::RoutingOutcome> prime_if_needed(const Lab& laboratory,
+                                                   bgp::DeltaSolver& solver,
+                                                   const cdn::Deployment& dep, std::size_t r,
+                                                   bgp::DeltaStats* stats = nullptr) {
+  if (solver.primed(r)) return std::nullopt;
+  return solver.prime(r, dep.origins_for_region(r), hash_combine(laboratory.config().seed, r),
+                      stats);
+}
+
 }  // namespace
 
 Lab::Lab(const LabConfig& config) : config_(config) {
@@ -112,13 +134,6 @@ Lab::Lab(const LabConfig& config) : config_(config) {
   }
   static obs::Counter& creates = metrics().counter("lab.create.calls");
   creates.add();
-  if (const char* delta_env = std::getenv("RANYCAST_DELTA");
-      delta_env != nullptr && delta_env[0] == '1') {
-    delta_cfg_.enabled = true;
-  }
-  if (const char* verify_env = std::getenv("RANYCAST_DELTA_VERIFY"); verify_env != nullptr) {
-    delta_cfg_.verify_every = static_cast<std::uint32_t>(std::strtoul(verify_env, nullptr, 10));
-  }
 }
 
 Lab Lab::create(const LabConfig& config) {
@@ -150,61 +165,30 @@ DeploymentHandle* Lab::handle_mut(const DeploymentHandle& handle) noexcept {
   return nullptr;
 }
 
-void Lab::resolve(DeploymentHandle& handle) const {
-  obs::Span span("lab.resolve");
-  static obs::Histogram& h_resolve = metrics().histogram("lab.resolve.total_us");
-  obs::ScopedTimer timer(h_resolve);
-  // Same per-region salts as add_deployment: a re-solve of an unchanged
-  // deployment reproduces the original outcome bit-for-bit.
-  handle.outcomes = solve_regions(*this, handle.deployment);
-  // A full re-solve leaves retained incremental planes stale; drop them so
-  // a later resolve_delta re-primes instead of splicing against old state.
-  handle.delta.reset();
-  static obs::Counter& resolves = metrics().counter("lab.resolves");
-  resolves.add();
-}
-
 bgp::DeltaStats Lab::resolve_delta(DeploymentHandle& handle,
                                    const bgp::SolveDelta& delta) const {
-  if (!delta_cfg_.enabled) {
-    resolve(handle);
-    return {};
-  }
   obs::Span span("lab.resolve_delta");
   static obs::Histogram& h_resolve = metrics().histogram("lab.resolve.total_us");
   obs::ScopedTimer timer(h_resolve);
   const cdn::Deployment& dep = handle.deployment;
   const std::size_t count = dep.regions().size();
-  if (!handle.delta || handle.delta->region_count() != count) {
-    handle.delta =
-        std::make_unique<bgp::DeltaSolver>(world_->graph, dep.asn(), count, delta_cfg_);
-  }
-  bgp::DeltaSolver& solver = *handle.delta;
+  bgp::DeltaSolver& solver = solver_of(*this, handle, delta_cfg_);
   std::vector<bgp::DeltaStats> stats(count);
   std::vector<std::optional<bgp::RoutingOutcome>> slots(count);
   exec::ThreadPool::global().parallel_for(count, [&](std::size_t r) {
-    const auto origins = dep.origins_for_region(r);
-    const std::uint64_t seed = hash_combine(config_.seed, r);  // matches solve_origins
-    if (!solver.primed(r)) {
-      slots[r].emplace(solver.prime(r, origins, seed, &stats[r]));
-      return;
-    }
-    const std::span<const bgp::OriginChange> changes =
-        r < delta.origins.size() ? std::span<const bgp::OriginChange>(delta.origins[r])
-                                 : std::span<const bgp::OriginChange>{};
-    slots[r].emplace(solver.resolve(r, origins, changes, delta.links, &stats[r]));
+    if (!delta.touches(r)) return;  // untouched: keeps its outcome, stays unprimed
+    slots[r] = prime_if_needed(*this, solver, dep, r, &stats[r]);
+    if (slots[r]) return;  // primed from the post-delta origins
+    slots[r].emplace(solver.resolve(r, dep.origins_for_region(r), delta.origin_changes(r),
+                                    delta.links, &stats[r]));
   });
-  handle.outcomes.clear();
-  handle.outcomes.reserve(count);
   bgp::DeltaStats merged;
   for (std::size_t r = 0; r < count; ++r) {
-    handle.outcomes.push_back(std::move(*slots[r]));
+    if (slots[r]) handle.outcomes[r] = std::move(*slots[r]);
     merged.merge(stats[r]);
   }
   static obs::Counter& resolves = metrics().counter("lab.resolves");
-  static obs::Counter& delta_resolves = metrics().counter("lab.resolves_delta");
   resolves.add();
-  delta_resolves.add();
   return merged;
 }
 
@@ -213,33 +197,25 @@ const DeploymentHandle& Lab::add_deployment_derived(const DeploymentHandle& base
                                                     const bgp::SolveDelta& delta) {
   DeploymentHandle* base_mut = handle_mut(base);
   const std::size_t count = deployment.regions().size();
-  if (!delta_cfg_.enabled || base_mut == nullptr ||
-      base.deployment.regions().size() != count || base.deployment.asn() != deployment.asn()) {
+  if (base_mut == nullptr || base.deployment.regions().size() != count ||
+      base.deployment.asn() != deployment.asn()) {
     return add_deployment(std::move(deployment));
   }
   obs::Span span("lab.add_deployment_derived");
-  if (!base_mut->delta || base_mut->delta->region_count() != count) {
-    // Prime the base's planes once; its published outcomes stay untouched
-    // (the primed ones are byte-identical by construction, so discarding
-    // them changes nothing observable).
-    auto solver = std::make_unique<bgp::DeltaSolver>(world_->graph, base.deployment.asn(),
-                                                     count, delta_cfg_);
-    exec::ThreadPool::global().parallel_for(count, [&](std::size_t r) {
-      solver->prime(r, base.deployment.origins_for_region(r), hash_combine(config_.seed, r));
-    });
-    base_mut->delta = std::move(solver);
-  }
-  DeploymentHandle handle{std::move(deployment), {}, base_mut->delta->clone()};
-  const cdn::Deployment& dep = handle.deployment;
-  std::vector<bgp::DeltaStats> stats(count);
-  std::vector<std::optional<bgp::RoutingOutcome>> slots(count);
-  bgp::DeltaSolver& solver = *handle.delta;
+  // The clone must carry every region primed: resolve() needs the region's
+  // tie-break seed, which only prime() records. Priming leaves base's
+  // published outcomes untouched (the primed ones are byte-identical).
+  bgp::DeltaSolver& base_solver = solver_of(*this, *base_mut, delta_cfg_);
   exec::ThreadPool::global().parallel_for(count, [&](std::size_t r) {
-    const std::span<const bgp::OriginChange> changes =
-        r < delta.origins.size() ? std::span<const bgp::OriginChange>(delta.origins[r])
-                                 : std::span<const bgp::OriginChange>{};
+    prime_if_needed(*this, base_solver, base.deployment, r);
+  });
+  const std::unique_ptr<bgp::DeltaSolver> solver = base_solver.clone();
+  DeploymentHandle handle{std::move(deployment), {}, nullptr};
+  const cdn::Deployment& dep = handle.deployment;
+  std::vector<std::optional<bgp::RoutingOutcome>> slots(count);
+  exec::ThreadPool::global().parallel_for(count, [&](std::size_t r) {
     slots[r].emplace(
-        solver.resolve(r, dep.origins_for_region(r), changes, delta.links, &stats[r]));
+        solver->resolve(r, dep.origins_for_region(r), delta.origin_changes(r), delta.links));
   });
   handle.outcomes.reserve(count);
   for (std::size_t r = 0; r < count; ++r) handle.outcomes.push_back(std::move(*slots[r]));

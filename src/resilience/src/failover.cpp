@@ -33,8 +33,8 @@ FailoverReport fail_site(lab::Lab& lab, const lab::DeploymentHandle& before, Sit
   report.failed_city = before.deployment.site(site).city;
 
   // The derived deployment differs from the base only by the failed site's
-  // originations, so describe exactly that and let the lab reuse the base's
-  // primed selection planes (no-op when the delta path is disabled).
+  // originations, so describe exactly that and let the lab splice it into
+  // the base's selection planes.
   cdn::Deployment derived = withdraw_site(before.deployment, site, lab.registry());
   bgp::SolveDelta delta;
   delta.origins.resize(derived.regions().size());

@@ -106,9 +106,6 @@ TEST_P(CompactRtt, MatchesMaterializedAfterFullSolve) {
 TEST_P(CompactRtt, MatchesMaterializedAfterDeltaSpliceChain) {
   const auto [seed, name] = GetParam();
   auto laboratory = lab::Lab::create(tiny_config(seed));
-  DeltaConfig delta_cfg;
-  delta_cfg.enabled = true;
-  laboratory.set_delta_config(delta_cfg);
   lab::DeploymentHandle& handle =
       *laboratory.handle_mut(laboratory.add_deployment(spec_named(name)));
   topo::Graph& graph = laboratory.graph_mut();

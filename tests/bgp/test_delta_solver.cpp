@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "outcome_equality.hpp"
 #include "ranycast/core/rng.hpp"
 #include "ranycast/geo/gazetteer.hpp"
 #include "ranycast/topo/generator.hpp"
@@ -24,25 +27,6 @@ CityId city(const char* iata) { return *geo::Gazetteer::world().find_by_iata(iat
 
 OriginAttachment attach(SiteId site, CityId c, Asn neighbor, Rel rel = Rel::Customer) {
   return OriginAttachment{site, c, neighbor, rel, true};
-}
-
-/// Full route-level equality: selection fields plus materialized paths.
-void expect_outcomes_equal(const Graph& g, const RoutingOutcome& got,
-                           const RoutingOutcome& want, const char* what) {
-  ASSERT_EQ(got.as_count(), want.as_count()) << what;
-  for (const topo::AsNode& node : g.nodes()) {
-    const Route* a = got.route_for(node.asn);
-    const Route* b = want.route_for(node.asn);
-    ASSERT_EQ(a == nullptr, b == nullptr)
-        << what << ": reachability of AS" << value(node.asn);
-    if (a == nullptr) continue;
-    EXPECT_EQ(a->origin_site, b->origin_site) << what << ": AS" << value(node.asn);
-    EXPECT_EQ(a->cls, b->cls) << what << ": AS" << value(node.asn);
-    EXPECT_EQ(a->ingress_km, b->ingress_km) << what << ": AS" << value(node.asn);
-    EXPECT_EQ(a->tiebreak, b->tiebreak) << what << ": AS" << value(node.asn);
-    EXPECT_EQ(a->as_path, b->as_path) << what << ": AS" << value(node.asn);
-    EXPECT_EQ(a->geo_path, b->geo_path) << what << ": AS" << value(node.asn);
-  }
 }
 
 /// A small world with IXPs, used by the generated-topology tests. The
@@ -90,6 +74,19 @@ TEST(DeltaSolver, PrimeMatchesFullSolve) {
   EXPECT_EQ(stats.full_regions, 1u);
   EXPECT_TRUE(solver.primed(0));
   EXPECT_FALSE(solver.primed(1));
+}
+
+TEST(DeltaSolver, ResolveOfUnprimedRegionThrows) {
+  // Only prime() learns a region's tie-break seed; resolving a region that
+  // was never primed must not silently solve it with a default seed.
+  Fixture fx;
+  DeltaSolver solver(fx.graph(), kCdn, 2);
+  solver.prime(0, fx.origins, kSeed);
+  EXPECT_THROW(solver.resolve(1, fx.origins, {}, {}), std::logic_error);
+  EXPECT_FALSE(solver.primed(1));
+  // A clone carries the same gap.
+  EXPECT_THROW(solver.clone()->resolve(1, fx.origins, {}, {}), std::logic_error);
+  EXPECT_NO_THROW(solver.resolve(0, fx.origins, {}, {}));
 }
 
 TEST(DeltaSolver, EmptyDeltaChangesNothing) {
@@ -189,10 +186,7 @@ TEST(DeltaSolver, RouteServerOutageMatchesFullSolve) {
 TEST(DeltaSolver, RegionalWithdrawalFallsBackAndStillMatches) {
   Fixture fx;
   Graph& g = fx.graph();
-  DeltaConfig cfg;
-  cfg.enabled = true;
-  cfg.fallback_frac = 1e-9;  // budget floor (64) << a whole-prefix withdrawal
-  DeltaSolver solver(g, kCdn, 1, cfg);
+  DeltaSolver solver(g, kCdn, 1);
   solver.prime(0, fx.origins, kSeed);
 
   const std::vector<OriginAttachment> none;
@@ -200,7 +194,7 @@ TEST(DeltaSolver, RegionalWithdrawalFallsBackAndStillMatches) {
   ASSERT_EQ(changes.size(), fx.origins.size());
   DeltaStats stats;
   const auto after = solver.resolve(0, none, changes, {}, &stats);
-  EXPECT_EQ(stats.full_regions, 1u) << "whole-prefix withdrawal must exceed the budget";
+  EXPECT_EQ(stats.full_regions, 1u) << "whole-prefix withdrawal must exceed a quarter of ASes";
   EXPECT_EQ(stats.delta_regions, 0u);
   expect_outcomes_equal(g, after, solve_anycast(g, kCdn, none, kSeed), "fallback");
   EXPECT_EQ(after.reachable_count(), 0u);
@@ -209,10 +203,7 @@ TEST(DeltaSolver, RegionalWithdrawalFallsBackAndStillMatches) {
 TEST(DeltaSolver, SampledVerifyRunsClean) {
   Fixture fx;
   Graph& g = fx.graph();
-  DeltaConfig cfg;
-  cfg.enabled = true;
-  cfg.verify_every = 1;
-  DeltaSolver solver(g, kCdn, 1, cfg);
+  DeltaSolver solver(g, kCdn, 1, DeltaConfig{.verify_every = 1});
   solver.prime(0, fx.origins, kSeed);
 
   std::vector<OriginAttachment> without = fx.origins;

@@ -7,7 +7,7 @@
 //                  [--dns-ttl-ms N] [--max-events N]
 //                  [--traffic] [--traffic-policy spill|shed]
 //                  [--traffic-capacity-mbps N] [--traffic-scale X]
-//                  [--delta] [--delta-verify N] [--delta-threshold X]
+//                  [--delta-verify N]
 //                  [--deadline SECONDS] [--stall-timeout SECONDS]
 //                  [--checkpoint FILE] [--checkpoint-every K] [--checkpoint-keep K] [--resume]
 //                  [--abort-after N]
@@ -36,13 +36,12 @@
 // declare a "traffic" block with the full model; the flags enable it with
 // defaults and override its policy / default capacity / demand scale.
 //
-// --delta re-solves each step through the incremental delta solver
-// (docs/performance.md, "Incremental re-solve"): only the ASes the fault
-// can affect re-decide, with identical reports, checkpoints and resume
-// fingerprints — an optimization knob, never a semantic one.
-// --delta-verify N additionally re-solves from scratch every Nth region
-// resolve and compares; --delta-threshold X sets the fallback-to-full
-// frontier fraction (default 0.25). Either flag implies --delta.
+// Each step re-solves only the regional prefixes the fault touched, through
+// the incremental delta solver (docs/performance.md, "Incremental
+// re-solve"). --delta-verify N checks it: every Nth re-solve of a region is
+// compared against a from-scratch solve (a mismatch self-heals and counts
+// in bgp.delta.verify_mismatch); reports, checkpoints and resume
+// fingerprints are identical with or without it.
 //
 // Guard flags (docs/reliability.md) run the timeline under a supervisor:
 // --deadline time-boxes the run (a truncated report is still emitted, with
@@ -180,7 +179,7 @@ int main(int argc, char** argv) {
                                        "dns-ttl-ms", "max-events",
                                        "traffic", "traffic-policy",
                                        "traffic-capacity-mbps", "traffic-scale",
-                                       "delta", "delta-verify", "delta-threshold",
+                                       "delta-verify",
                                        "deadline", "stall-timeout", "checkpoint",
                                        "checkpoint-every", "checkpoint-keep", "resume",
                                        "abort-after"})) {
@@ -312,13 +311,13 @@ int main(int argc, char** argv) {
        F::u64_field("planned_steps", plan->events.size()),
        F::bool_field("transient", args.has("transient")),
        F::bool_field("traffic", traffic_cfg.has_value()),
-       F::bool_field("delta", args.has("delta") || args.has("delta-verify") ||
-                                  args.has("delta-threshold")),
        F::bool_field("resume", args.has("resume"))},
       /*durable=*/true);
 
   obs::journal_event("phase_begin", {F::str("phase", "lab.build")});
   auto laboratory = lab::Lab::create(config);
+  laboratory.set_delta_config(bgp::DeltaConfig{
+      static_cast<std::uint32_t>(args.get_or("delta-verify", std::int64_t{0}))});
   const auto& handle = laboratory.add_deployment(*spec);
   chaos::Engine engine(laboratory, handle);
   obs::journal_event("phase_end", {F::str("phase", "lab.build")}, /*durable=*/true);
@@ -336,17 +335,6 @@ int main(int argc, char** argv) {
     engine.enable_transient(ccfg);
   }
   if (traffic_cfg) engine.enable_traffic(*traffic_cfg);
-  // --delta switches the step re-solves to the incremental solver; purely
-  // an optimization, so reports/checkpoints are byte-identical either way
-  // (which is exactly what tests/chaos/test_delta_soak.cpp asserts).
-  if (args.has("delta") || args.has("delta-verify") || args.has("delta-threshold")) {
-    bgp::DeltaConfig dcfg;
-    dcfg.enabled = true;
-    dcfg.verify_every =
-        static_cast<std::uint32_t>(args.get_or("delta-verify", std::int64_t{0}));
-    dcfg.fallback_frac = args.get_or("delta-threshold", dcfg.fallback_frac);
-    engine.enable_delta(dcfg);
-  }
 
   const bool guarded = args.has("deadline") || args.has("stall-timeout") ||
                        args.has("checkpoint") || args.has("resume");
