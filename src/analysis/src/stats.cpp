@@ -48,7 +48,21 @@ std::vector<std::pair<double, double>> Cdf::series(double lo, double hi, int poi
 }
 
 double percentile(std::span<const double> values, double p) {
-  return Cdf{std::vector<double>(values.begin(), values.end())}.quantile(p / 100.0);
+  // Cdf::quantile without the full sort: select the two order statistics
+  // around the rank (the smallest of the part above the first is the
+  // second) and interpolate with its exact formula, so the bits match.
+  if (values.empty()) return 0.0;
+  std::vector<double> v(values.begin(), values.end());
+  const double q = std::clamp(p / 100.0, 0.0, 1.0);
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
+  const std::size_t hi = static_cast<std::size_t>(std::ceil(pos));
+  const double frac = pos - static_cast<double>(lo);
+  const auto nth = v.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(v.begin(), nth, v.end());
+  const double a = *nth;
+  const double b = hi == lo ? a : *std::min_element(nth + 1, v.end());
+  return a * (1.0 - frac) + b * frac;
 }
 
 double median(std::span<const double> values) { return percentile(values, 50.0); }

@@ -23,10 +23,20 @@
 // in-engine verify mode (DeltaConfig::verify_every) that re-solves from
 // scratch every Nth step and self-heals on mismatch.
 //
+// Changed rows: resolve() reports which final-plane rows it changed — the
+// ASes whose selected path, origin site or class differs from before — so a
+// consumer can redo only the measurements that read them. An unchanged row
+// keeps its arena path id (an incremental pass keeps the append-only arena
+// and reuses the id of an unchanged hop), so catchment() and path_rtt() of
+// that AS read the same bits as before. A full solve starts a fresh arena,
+// so every path id is new: a prime, a fallback, the arena-growth re-prime
+// and the verifier's self-heal report "all" instead of a list.
+//
 // Fallback: when the frontier exceeds a fixed quarter of all nodes (e.g. a
 // regional withdrawal invalidating most of the plane) the incremental pass
 // aborts and a full SoA solve re-primes the state — never slower than a
-// from-scratch solve by more than the abandoned frontier walk.
+// from-scratch solve by more than the abandoned frontier walk. The region
+// then reports "all" changed rows.
 //
 // Concurrency: one DeltaSolver belongs to one deployment; distinct regions
 // hold distinct planes/arenas and may be resolved concurrently. Mutation
@@ -84,6 +94,14 @@ struct DeltaConfig {
   std::uint32_t verify_every{0};
 };
 
+/// The final-plane rows one resolve changed, by dense node index: every AS
+/// whose selected path, origin site or class differs from before it, or
+/// `all` when the region was solved in full.
+struct ChangedRows {
+  bool all{false};
+  std::vector<std::uint32_t> rows;  ///< ascending; empty when `all`
+};
+
 /// Accounting for one resolve (or a merge over regions/steps). A region a
 /// deployment-level re-solve skips (lab::Lab::resolve_delta: no link change
 /// and no origin change of its own) is not counted at all.
@@ -91,7 +109,8 @@ struct DeltaStats {
   std::size_t regions{0};        ///< regions resolved (primed or re-solved)
   std::size_t delta_regions{0};  ///< solved incrementally
   std::size_t full_regions{0};   ///< primed or fell back to full
-  std::size_t affected_ases{0};  ///< final-plane entries that changed
+  /// Size of the reported ChangedRows::rows (0 for a region reported `all`).
+  std::size_t affected_ases{0};
   std::size_t touched_ases{0};   ///< frontier size across all stages
   std::size_t verified{0};       ///< sampled differential verifications run
   std::size_t mismatches{0};     ///< verifications that disagreed (self-healed)
@@ -140,12 +159,14 @@ class DeltaSolver {
   /// Incremental re-solve of a primed region. `origins` is the post-delta
   /// origin set; `changes`/`links` describe how it and the graph moved
   /// since the previous prime()/resolve(). Falls back to a full re-prime
-  /// when the frontier exceeds a quarter of all ASes. Throws
-  /// std::logic_error for a region that was never primed: its tie-break
-  /// seed is only known to prime().
+  /// when the frontier exceeds a quarter of all ASes. `changed` (if given)
+  /// receives the rows that differ from the previous outcome of this
+  /// region. Throws std::logic_error for a region that was never primed:
+  /// its tie-break seed is only known to prime().
   RoutingOutcome resolve(std::size_t region, std::span<const OriginAttachment> origins,
                          std::span<const OriginChange> changes,
-                         std::span<const LinkDelta> links, DeltaStats* stats = nullptr);
+                         std::span<const LinkDelta> links, DeltaStats* stats = nullptr,
+                         ChangedRows* changed = nullptr);
 
   /// Deep copy (planes + arenas), for deriving a deployment from a base
   /// one (resilience::fail_site reuses the base's primed planes).

@@ -594,11 +594,12 @@ class Worklist {
 };
 
 /// The incremental pass over one region. Returns false when any stage blew
-/// its frontier budget (caller falls back to a full solve).
+/// its frontier budget (caller falls back to a full solve); otherwise
+/// `changed` holds the final-plane rows that changed, ascending.
 bool incremental_solve(SoaEngine& eng, std::span<const OriginAttachment> origin_set,
                        std::span<const OriginChange> changes,
                        std::span<const LinkDelta> links, std::size_t touch_budget,
-                       std::size_t& affected, std::size_t& touched) {
+                       std::vector<std::uint32_t>& changed, std::size_t& touched) {
   obs::Span span("bgp.solve.delta");
   static obs::Histogram& h_total =
       obs::MetricsRegistry::global().histogram("bgp.delta.solve_us");
@@ -704,11 +705,8 @@ bool incremental_solve(SoaEngine& eng, std::span<const OriginAttachment> origin_
   }
   if (!stage3.run(touch_budget)) return false;
 
-  affected = 0;
   touched = stage1.saved().size() + dirty2.size() + stage3.saved().size();
-  for (const auto& [x, orig] : stage3.saved()) {
-    if (row_differs(eng.f, x, orig)) ++affected;
-  }
+  changed = stage3.changed();
   return true;
 }
 
@@ -837,7 +835,8 @@ RoutingOutcome DeltaSolver::prime(std::size_t region,
 RoutingOutcome DeltaSolver::resolve(std::size_t region,
                                     std::span<const OriginAttachment> origins,
                                     std::span<const OriginChange> changes,
-                                    std::span<const LinkDelta> links, DeltaStats* stats) {
+                                    std::span<const LinkDelta> links, DeltaStats* stats,
+                                    ChangedRows* changed) {
   namespace dd = delta_detail;
   RegionState& st = *regions_[region];
   if (!st.primed) {
@@ -847,6 +846,7 @@ RoutingOutcome DeltaSolver::resolve(std::size_t region,
   const std::size_t n = graph_->nodes().size();
   DeltaStats local;
   local.regions = 1;
+  ChangedRows rows;
 
   const std::size_t budget = std::max<std::size_t>(
       64, static_cast<std::size_t>(dd::kFallbackFrac * static_cast<double>(n)));
@@ -855,11 +855,9 @@ RoutingOutcome DeltaSolver::resolve(std::size_t region,
   bool full = st.arena->size() > 32 * n + 4096;
   if (!full) {
     dd::SoaEngine engine(*graph_, cdn_asn_, st.seed, *st.arena, st.c, st.s, st.f);
-    std::size_t affected = 0;
     std::size_t touched = 0;
-    if (dd::incremental_solve(engine, origins, changes, links, budget, affected, touched)) {
+    if (dd::incremental_solve(engine, origins, changes, links, budget, rows.rows, touched)) {
       local.delta_regions = 1;
-      local.affected_ases = affected;
       local.touched_ases = touched;
     } else {
       full = true;
@@ -868,6 +866,7 @@ RoutingOutcome DeltaSolver::resolve(std::size_t region,
   if (full) {
     st.solve_full(*graph_, cdn_asn_, origins);
     local.full_regions = 1;
+    rows = ChangedRows{.all = true, .rows = {}};
   }
 
   RoutingOutcome out = st.outcome(*graph_, cdn_asn_);
@@ -881,8 +880,10 @@ RoutingOutcome DeltaSolver::resolve(std::size_t region,
       local.mismatches = 1;
       st.solve_full(*graph_, cdn_asn_, origins);
       out = st.outcome(*graph_, cdn_asn_);
+      rows = ChangedRows{.all = true, .rows = {}};
     }
   }
+  local.affected_ases = rows.rows.size();
 
   if (obs::enabled()) {
     auto& registry = obs::MetricsRegistry::global();
@@ -897,6 +898,7 @@ RoutingOutcome DeltaSolver::resolve(std::size_t region,
     if (local.mismatches != 0) registry.counter("bgp.delta.verify_mismatch").add(1);
   }
   if (stats != nullptr) stats->merge(local);
+  if (changed != nullptr) *changed = std::move(rows);
   return out;
 }
 

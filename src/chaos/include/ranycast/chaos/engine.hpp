@@ -14,17 +14,29 @@
 // step i's after-pass (and post-fault traffic solve) is step i+1's
 // before-pass, and a full before-pass runs only on a run's first step and
 // on the first step after a resume. The after-pass redoes only what the
-// event changed: routing events keep every probe's DNS answer and redo
-// route lookup and ping, demand events copy the before-pass, and geo-DB and
-// measurement-fault events re-measure in full.
+// event changed. A routing event keeps every probe's DNS answer, and its
+// re-solve reports the AS rows it changed per region
+// (lab::Lab::resolve_delta); the after-pass is the before-pass with route
+// lookup and ping redone only for the probes whose AS row changed in the
+// region DNS answered them with — a probe's view reads nothing else, and
+// an unchanged row keeps its path and RTT bits. Demand events copy the
+// before-pass; geo-DB and measurement-fault events re-measure in full.
+//
+// The traffic plane follows the same rule: the engine carries each probe's
+// traffic assignment next to the solve over it, a routing step re-assigns
+// only the probes whose AS row changed in any region (the shed alternates
+// read every region), and the carried solve is reused when neither the
+// assignment nor the flows changed — traffic::solve is pure in both.
 //
 // Reports carry no wall-clock data and read no observability counters, so
 // two runs with the same seed and plan serialize to the same bytes; timings
 // and fault telemetry live in the obs layer instead.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -38,6 +50,7 @@
 #include "ranycast/lab/lab.hpp"
 #include "ranycast/traffic/flows.hpp"
 #include "ranycast/traffic/report.hpp"
+#include "ranycast/traffic/solver.hpp"
 
 namespace ranycast::chaos {
 
@@ -171,23 +184,31 @@ class Engine {
  private:
   struct ProbeView;  // per-probe snapshot (answer, route, rtt)
   struct Carry;      // measurements of the current lab state, kept across steps
+  struct Reach;      // the probes a routing step's re-solve can have moved
 
   /// Which measurement inputs an applied event changed (none for demand
   /// events: the surge scale only feeds the traffic plane's flows).
   struct Changes {
-    bool routes{false};   ///< announcement or adjacency state (re-solved)
-    bool dns{false};      ///< geo-DB state or the DNS-timeout fault
-    bool probing{false};  ///< the ping-loss fault
+    bool routes{false};  ///< announcement or adjacency state (re-solved)
+    bool dns{false};     ///< geo-DB state or a measurement fault
+    /// Routing events: per region, the AS rows the re-solve changed.
+    std::vector<bgp::ChangedRows> rows;
   };
 
   /// "" on success, else the error. `changed` (if given) receives what the
-  /// event changed.
+  /// event changed, with the re-solve's changed rows.
   std::string apply(const FaultEvent& e, Changes* changed = nullptr);
-  /// One measurement pass over the retained probes. With `dns_from`, each
-  /// probe keeps its answer from that pass and only route lookup and ping
-  /// are redone.
-  void snapshot(std::vector<ProbeView>& out,
-                const std::vector<ProbeView>* dns_from = nullptr) const;
+  /// One full measurement pass over the retained probes.
+  void snapshot(std::vector<ProbeView>& out) const;
+  /// Route lookup and ping of one view against its DNS answer.
+  void route_and_ping(ProbeView& view) const;
+  /// Redo route lookup and ping for the listed probes of a pass; their DNS
+  /// answers stand.
+  void remeasure(std::vector<ProbeView>& views, std::span<const std::uint32_t> which) const;
+  /// The probes of `views` that the re-solve reported by `rows` can have
+  /// moved; `assigns` is filled only when asked for.
+  Reach reach(const std::vector<ProbeView>& views, const std::vector<bgp::ChangedRows>& rows,
+              bool assigns);
   /// Build (or rebuild after a resume) the convergence plane from the lab's
   /// current state; no-op unless enable_transient was called.
   void ensure_plane();
@@ -204,10 +225,15 @@ class Engine {
   /// The window's flows under the current surge scale (cached: regenerated
   /// only when a traffic_surge/_restore event changes the scale).
   const traffic::FlowSet& current_flows();
-  /// Solve the traffic model against one measurement pass's catchment.
-  /// Must run while the routes the views were snapshotted from are still
-  /// live (the other regions' catchments supply the shed alternates).
-  traffic::TrafficSolve solve_traffic(const std::vector<ProbeView>& views);
+  /// Redo the traffic assignment of the listed probes of a pass (every
+  /// probe when `which` is null) against the live routes — the other
+  /// regions' catchments supply the shed alternates, so this must run while
+  /// the routes the views were measured from are live. True when any
+  /// probe's assignment changed.
+  bool reassign(const std::vector<ProbeView>& views, std::vector<traffic::ProbeAssign>& assign,
+                const std::vector<std::uint32_t>* which) const;
+  /// The traffic model over one assignment under the current flows.
+  traffic::TrafficSolve solve_traffic(std::span<const traffic::ProbeAssign> assign);
 
   lab::Lab& lab_;
   lab::DeploymentHandle* handle_;
@@ -224,6 +250,9 @@ class Engine {
   bool groups_built_{false};
   std::optional<std::pair<std::uint64_t, traffic::FlowSet>> flow_cache_;
   std::optional<bgp::DeltaStats> last_step_delta_;
+  /// Dense node index of each retained probe's AS, built by the first
+  /// reach(): Graph::index_of is a hash lookup, too slow to repeat per step.
+  std::vector<std::uint32_t> probe_nodes_;
 };
 
 }  // namespace ranycast::chaos

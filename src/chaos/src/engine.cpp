@@ -1,7 +1,9 @@
 #include "ranycast/chaos/engine.hpp"
 
+#include <atomic>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "ranycast/analysis/stats.hpp"
 #include "ranycast/core/crc32.hpp"
@@ -10,7 +12,6 @@
 #include "ranycast/io/config.hpp"
 #include "ranycast/obs/journal.hpp"
 #include "ranycast/obs/span.hpp"
-#include "ranycast/traffic/solver.hpp"
 
 namespace ranycast::chaos {
 
@@ -355,7 +356,16 @@ struct Engine::Carry {
   std::vector<ProbeView> before;
   std::vector<ProbeView> after;  ///< scratch buffer for the after-pass
   bool measured{false};          ///< `before` holds the current state's pass
-  std::optional<traffic::TrafficSolve> solve;  ///< traffic of the current state
+  /// Traffic of the current state: each probe's assignment and the solve
+  /// over it; both empty until the first traffic step solves them.
+  std::vector<traffic::ProbeAssign> assign;
+  std::optional<traffic::TrafficSolve> solve;
+};
+
+/// Indices into the retained probes, ascending.
+struct Engine::Reach {
+  std::vector<std::uint32_t> views;    ///< AS row changed in the answered region
+  std::vector<std::uint32_t> assigns;  ///< AS row changed in any region
 };
 
 Engine::Engine(lab::Lab& laboratory, const lab::DeploymentHandle& handle)
@@ -387,24 +397,25 @@ const traffic::FlowSet& Engine::current_flows() {
   return flow_cache_->second;
 }
 
-traffic::TrafficSolve Engine::solve_traffic(const std::vector<ProbeView>& views) {
-  const traffic::FlowSet& flows = current_flows();
-  const auto& dep = handle_->deployment;
-  const std::size_t regions = dep.regions().size();
+bool Engine::reassign(const std::vector<ProbeView>& views,
+                      std::vector<traffic::ProbeAssign>& assign,
+                      const std::vector<std::uint32_t>* which) const {
+  const std::size_t regions = handle_->deployment.regions().size();
   const bool shed = traffic_cfg_->policy == traffic::OverloadPolicy::Shed;
-  // Per-probe assignment is pure in (view, live routes): disjoint slots, so
+  std::atomic<bool> moved{false};
+  // A probe's assignment is pure in (view, live routes): disjoint slots, so
   // the fan-out is worker-count independent like every other snapshot pass.
-  std::vector<traffic::ProbeAssign> assign(views.size());
-  exec::ThreadPool::global().parallel_for(views.size(), [&](std::size_t i) {
+  const std::size_t count = which != nullptr ? which->size() : views.size();
+  exec::ThreadPool::global().parallel_for(count, [&](std::size_t k) {
+    const std::size_t i = which != nullptr ? (*which)[k] : k;
     const ProbeView& v = views[i];
-    if (!v.routed) return;
     traffic::ProbeAssign pa;
-    pa.site = v.site;
-    if (shed) {
-      // DNS can steer this client to any other regional prefix it still has
-      // a route to; the shed targets are those prefixes' catchment sites
-      // (region order — deterministic).
-      for (std::size_t r2 = 0; r2 < regions; ++r2) {
+    if (v.routed) {
+      pa.site = v.site;
+      // DNS can steer this client to any other regional prefix it still
+      // has a route to; the shed targets are those prefixes' catchment
+      // sites (region order — deterministic).
+      for (std::size_t r2 = 0; shed && r2 < regions; ++r2) {
         if (r2 == v.answer.region) continue;
         const auto site = handle_->catchment(v.probe->asn, r2);
         if (!site || *site == v.site) continue;
@@ -413,9 +424,17 @@ traffic::TrafficSolve Engine::solve_traffic(const std::vector<ProbeView>& views)
         if (!dup) pa.alternates.push_back(*site);
       }
     }
-    assign[i] = std::move(pa);
+    if (pa.site != assign[i].site || pa.alternates != assign[i].alternates) {
+      moved.store(true, std::memory_order_relaxed);
+      assign[i] = std::move(pa);
+    }
   });
-  return traffic::solve(flows, assign, dep.sites().size(), *traffic_cfg_);
+  return moved.load(std::memory_order_relaxed);
+}
+
+traffic::TrafficSolve Engine::solve_traffic(std::span<const traffic::ProbeAssign> assign) {
+  return traffic::solve(current_flows(), assign, handle_->deployment.sites().size(),
+                        *traffic_cfg_);
 }
 
 void Engine::ensure_plane() {
@@ -429,30 +448,76 @@ void Engine::ensure_plane() {
   plane_->rebuild();
 }
 
-void Engine::snapshot(std::vector<ProbeView>& out,
-                      const std::vector<ProbeView>* dns_from) const {
+void Engine::snapshot(std::vector<ProbeView>& out) const {
   static obs::Counter& passes = metrics().counter("chaos.measure.passes");
-  static obs::Counter& dns_reused = metrics().counter("chaos.measure.dns_reused");
   const auto retained = lab_.census().retained();
   passes.add();
-  if (dns_from != nullptr) dns_reused.add(retained.size());
   out.clear();
   out.resize(retained.size());
   // Each probe's view is pure in (probe, deployment state), so the fan-out
   // writes disjoint slots and the snapshot is identical for any worker count.
   exec::ThreadPool::global().parallel_for(retained.size(), [&](std::size_t i) {
-    const atlas::Probe* p = retained[i];
     ProbeView view;
-    view.probe = p;
-    view.answer = dns_from != nullptr ? (*dns_from)[i].answer
-                                      : lab_.dns_lookup(*p, *handle_, dns::QueryMode::Ldns);
-    if (const auto site = handle_->catchment(p->asn, view.answer.region)) {
-      view.routed = true;
-      view.site = *site;
-      view.rtt = lab_.ping(*p, view.answer.address);
-    }
+    view.probe = retained[i];
+    view.answer = lab_.dns_lookup(*view.probe, *handle_, dns::QueryMode::Ldns);
+    route_and_ping(view);
     out[i] = std::move(view);
   });
+}
+
+void Engine::route_and_ping(ProbeView& view) const {
+  const auto site = handle_->catchment(view.probe->asn, view.answer.region);
+  view.routed = site.has_value();
+  view.site = site.value_or(kInvalidSite);
+  view.rtt = site ? lab_.ping(*view.probe, view.answer.address) : std::nullopt;
+}
+
+void Engine::remeasure(std::vector<ProbeView>& views,
+                       std::span<const std::uint32_t> which) const {
+  static obs::Counter& passes = metrics().counter("chaos.measure.passes");
+  static obs::Counter& dns_reused = metrics().counter("chaos.measure.dns_reused");
+  static obs::Counter& remeasured = metrics().counter("chaos.measure.remeasured");
+  passes.add();
+  dns_reused.add(views.size());
+  remeasured.add(which.size());
+  exec::ThreadPool::global().parallel_for(
+      which.size(), [&](std::size_t k) { route_and_ping(views[which[k]]); });
+}
+
+Engine::Reach Engine::reach(const std::vector<ProbeView>& views,
+                            const std::vector<bgp::ChangedRows>& rows, bool assigns) {
+  constexpr std::uint32_t kNoNode = std::numeric_limits<std::uint32_t>::max();
+  const topo::Graph& graph = lab_.world().graph;
+  if (probe_nodes_.size() != views.size()) {
+    probe_nodes_.resize(views.size());
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      const auto idx = graph.index_of(views[i].probe->asn);
+      probe_nodes_[i] = idx ? static_cast<std::uint32_t>(*idx) : kNoNode;
+    }
+  }
+  // Per region with changed rows, a byte per dense node index.
+  std::vector<std::vector<std::uint8_t>> marks(rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    if (rows[r].rows.empty()) continue;
+    marks[r].assign(graph.nodes().size(), 0);
+    for (const std::uint32_t x : rows[r].rows) marks[r][x] = 1;
+  }
+  const auto moved_in = [&](std::size_t r, std::uint32_t x) {
+    return rows[r].all || (!marks[r].empty() && x != kNoNode && marks[r][x] != 0);
+  };
+  Reach out;
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    const std::uint32_t x = probe_nodes_[i];
+    if (moved_in(views[i].answer.region, x)) out.views.push_back(static_cast<std::uint32_t>(i));
+    if (!assigns) continue;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      if (moved_in(r, x)) {
+        out.assigns.push_back(static_cast<std::uint32_t>(i));
+        break;
+      }
+    }
+  }
+  return out;
 }
 
 std::string Engine::apply(const FaultEvent& e, Changes* changed) {
@@ -577,13 +642,11 @@ std::string Engine::apply(const FaultEvent& e, Changes* changed) {
       if (f.max_retries < 0) return "max_retries must be non-negative";
       lab_.set_measurement_faults(f);
       changes.dns = true;
-      changes.probing = true;
       break;
     }
     case FaultKind::MeasurementRestore:
       lab_.set_measurement_faults(std::nullopt);
       changes.dns = true;
-      changes.probing = true;
       break;
     case FaultKind::TrafficSurge:
       // Appliable with or without the traffic plane (so resume fast-forward
@@ -597,14 +660,16 @@ std::string Engine::apply(const FaultEvent& e, Changes* changed) {
       surge_scale_ = 1.0;
       break;
   }
-  if (changed != nullptr) *changed = changes;
   if (changes.routes) {
     const auto origins_after = converge::origins_by_region(dep);
     delta.origins.resize(origins_after.size());
     for (std::size_t r = 0; r < origins_after.size(); ++r) {
       delta.origins[r] = bgp::diff_origin_changes(origins_before[r], origins_after[r]);
     }
-    const bgp::DeltaStats stats = lab_.resolve_delta(*handle_, delta);
+    // Only a measured step reads the changed rows; serve's drift hook and
+    // the resume fast-forward do not ask for them.
+    const bgp::DeltaStats stats =
+        lab_.resolve_delta(*handle_, delta, changed != nullptr ? &changes.rows : nullptr);
     last_step_delta_ = stats;
     if (obs::enabled()) {
       auto& reg = metrics();
@@ -615,6 +680,7 @@ std::string Engine::apply(const FaultEvent& e, Changes* changed) {
           .record(static_cast<double>(stats.affected_ases));
     }
   }
+  if (changed != nullptr) *changed = std::move(changes);
   return "";
 }
 
@@ -650,11 +716,14 @@ core::Expected<StepReport, std::string> Engine::execute_step(
   }
   const bool traffic_on = traffic_cfg_.has_value() && traffic_out != nullptr;
   if (traffic_on && !carry.solve) {
-    // Solved pre-apply: the shed alternates are the other regions' live
+    // Assigned pre-apply: the shed alternates are the other regions' live
     // catchments, which the fault's re-solve is about to replace.
     obs::Span traffic_span("chaos.traffic");
-    carry.solve = solve_traffic(before);
+    carry.assign.assign(before.size(), traffic::ProbeAssign{});
+    reassign(before, carry.assign, nullptr);
+    carry.solve = solve_traffic(carry.assign);
   }
+  const double scale_before = surge_scale_;
   Changes changes;
   {
     obs::Span apply_span("chaos.apply");
@@ -663,15 +732,19 @@ core::Expected<StepReport, std::string> Engine::execute_step(
                               "): " + err);
     }
   }
+  Reach reached;
   {
-    // Redo only the stages whose inputs the event changed.
+    // Redo only the stages whose inputs the event changed, and on a routing
+    // step only for the probes whose AS row the re-solve changed.
     obs::Span measure_span("chaos.measure.after");
     if (changes.dns) {
       snapshot(after);
-    } else if (changes.routes || changes.probing) {
-      snapshot(after, &before);
     } else {
-      after = before;  // a demand step: the catchments did not move
+      after = before;  // DNS answers stand; a demand step moves nothing else
+      if (changes.routes) {
+        reached = reach(before, changes.rows, traffic_on);
+        remeasure(after, reached.views);
+      }
     }
   }
 
@@ -766,12 +839,29 @@ core::Expected<StepReport, std::string> Engine::execute_step(
     static obs::Counter& shed_flows = metrics().counter("traffic.flows_shed");
     static obs::Counter& dropped_flows = metrics().counter("traffic.flows_dropped");
     static obs::Histogram& delay_hist = metrics().histogram("traffic.queue_delay_ms");
+    static obs::Counter& solves_reused = metrics().counter("chaos.traffic.solves_reused");
     obs::Span traffic_span("chaos.traffic");
     const traffic::TrafficSolve& before_solve = *carry.solve;
     traffic::StepTraffic t;
     t.index = index;
     t.event = describe(event);
-    t.solve = solve_traffic(after);
+    // Re-assign what the event can have moved: everything after a DNS
+    // change, the reached probes after a routing change, nothing after a
+    // demand change (whose flows moved instead).
+    bool moved = false;
+    if (changes.dns) {
+      moved = reassign(after, carry.assign, nullptr);
+    } else if (changes.routes) {
+      moved = reassign(after, carry.assign, &reached.assigns);
+    }
+    const bool flows_moved =
+        std::bit_cast<std::uint64_t>(surge_scale_) != std::bit_cast<std::uint64_t>(scale_before);
+    if (moved || flows_moved) {
+      t.solve = solve_traffic(carry.assign);
+    } else {
+      t.solve = before_solve;  // same flows over the same assignment
+      solves_reused.add();
+    }
     t.before_max_utilization = before_solve.max_utilization;
     t.before_mean_utilization = before_solve.mean_utilization;
     const double threshold = traffic_cfg_->admission_threshold;

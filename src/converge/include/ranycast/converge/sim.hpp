@@ -227,7 +227,7 @@ class PrefixSim {
   void reset_epoch_controls();
   void compact_arena();
   std::uint32_t reintern(const bgp::PathArena& from, std::uint32_t path,
-                         bgp::PathArena& into) const;
+                         bgp::PathArena& into);
   RegionTransient drain();
   RegionTransient finalize(RegionTransient out);
 
@@ -238,6 +238,8 @@ class PrefixSim {
   std::uint64_t budget_;
 
   bgp::PathArena arena_;
+  /// reintern()'s reused buffer: one path's arena ids, holder first.
+  std::vector<std::uint32_t> reintern_chain_;
   std::vector<NodeState> nodes_;
   std::vector<std::int32_t> next_hop_;  ///< -1 none, -2 origin, else node index
   std::vector<NodeTimeline> timelines_;

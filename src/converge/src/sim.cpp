@@ -455,14 +455,14 @@ void PrefixSim::reset_epoch_controls() {
 // ---- arena compaction --------------------------------------------------------
 
 std::uint32_t PrefixSim::reintern(const bgp::PathArena& from, std::uint32_t path,
-                                  bgp::PathArena& into) const {
+                                  bgp::PathArena& into) {
   if (path == bgp::PathArena::kNone) return bgp::PathArena::kNone;
-  std::vector<std::uint32_t> chain;
+  reintern_chain_.clear();  // reused: compaction re-interns every RIB path
   for (std::uint32_t cur = path; cur != bgp::PathArena::kNone; cur = from.parent_of(cur)) {
-    chain.push_back(cur);
+    reintern_chain_.push_back(cur);
   }
   std::uint32_t parent = bgp::PathArena::kNone;
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+  for (auto it = reintern_chain_.rbegin(); it != reintern_chain_.rend(); ++it) {
     parent = into.append(parent, from.asn_of(*it), from.city_of(*it));
   }
   return parent;

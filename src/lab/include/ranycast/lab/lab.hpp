@@ -150,7 +150,12 @@ class Lab {
   /// is primed (solved in full) the first time, then re-decides only the
   /// ASes the delta can affect; outcomes are byte-identical to a
   /// from-scratch solve. Returns the accounting of the regions re-solved.
-  bgp::DeltaStats resolve_delta(DeploymentHandle& handle, const bgp::SolveDelta& delta) const;
+  /// `changed` (if given) receives one entry per region: the rows whose
+  /// route the re-solve changed (bgp::DeltaSolver::resolve), no rows for an
+  /// untouched region, and `all` for a first-touch prime — its fresh arena
+  /// renumbers every path, even where the route is the same.
+  bgp::DeltaStats resolve_delta(DeploymentHandle& handle, const bgp::SolveDelta& delta,
+                                std::vector<bgp::ChangedRows>* changed = nullptr) const;
 
   /// Register a deployment derived from `base` by `delta` (e.g. a site
   /// failure: resilience::fail_site): primes every base region not yet

@@ -165,8 +165,8 @@ DeploymentHandle* Lab::handle_mut(const DeploymentHandle& handle) noexcept {
   return nullptr;
 }
 
-bgp::DeltaStats Lab::resolve_delta(DeploymentHandle& handle,
-                                   const bgp::SolveDelta& delta) const {
+bgp::DeltaStats Lab::resolve_delta(DeploymentHandle& handle, const bgp::SolveDelta& delta,
+                                   std::vector<bgp::ChangedRows>* changed) const {
   obs::Span span("lab.resolve_delta");
   static obs::Histogram& h_resolve = metrics().histogram("lab.resolve.total_us");
   obs::ScopedTimer timer(h_resolve);
@@ -175,12 +175,17 @@ bgp::DeltaStats Lab::resolve_delta(DeploymentHandle& handle,
   bgp::DeltaSolver& solver = solver_of(*this, handle, delta_cfg_);
   std::vector<bgp::DeltaStats> stats(count);
   std::vector<std::optional<bgp::RoutingOutcome>> slots(count);
+  if (changed != nullptr) changed->assign(count, bgp::ChangedRows{});
   exec::ThreadPool::global().parallel_for(count, [&](std::size_t r) {
     if (!delta.touches(r)) return;  // untouched: keeps its outcome, stays unprimed
+    bgp::ChangedRows* rows = changed != nullptr ? &(*changed)[r] : nullptr;
     slots[r] = prime_if_needed(*this, solver, dep, r, &stats[r]);
-    if (slots[r]) return;  // primed from the post-delta origins
+    if (slots[r]) {  // primed from the post-delta origins
+      if (rows != nullptr) rows->all = true;
+      return;
+    }
     slots[r].emplace(solver.resolve(r, dep.origins_for_region(r), delta.origin_changes(r),
-                                    delta.links, &stats[r]));
+                                    delta.links, &stats[r], rows));
   });
   bgp::DeltaStats merged;
   for (std::size_t r = 0; r < count; ++r) {

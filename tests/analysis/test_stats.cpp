@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "ranycast/core/rng.hpp"
 
 namespace ranycast::analysis {
@@ -73,6 +78,34 @@ TEST(Percentile, MatchesKnownValues) {
 TEST(Percentile, UnsortedInput) {
   const std::vector<double> v{50, 10, 40, 30, 20};
   EXPECT_DOUBLE_EQ(percentile(v, 50), 30.0);
+}
+
+/// percentile() selects the two order statistics around the rank instead
+/// of sorting; its result must carry the exact bits of the sorted
+/// interpolation, Cdf::quantile, ties and infinities included.
+TEST(Percentile, BitIdenticalToSortedQuantile) {
+  Rng rng{0x9E7C};
+  std::vector<std::size_t> sizes{1, 2, 3, 4, 5, 10, 11, 100, 999, 1000};
+  for (int extra = 0; extra < 20; ++extra) sizes.push_back(1 + rng.below(1000));
+  std::size_t cases = 0;
+  for (const std::size_t n : sizes) {
+    // Few distinct values (many ties), or continuous values; some infinite.
+    const bool tied = rng.chance(0.5);
+    std::vector<double> v;
+    for (std::size_t i = 0; i < n; ++i) {
+      double x = tied ? static_cast<double>(rng.below(7)) * 2.5 : rng.exponential(30.0);
+      if (rng.chance(0.05)) x = std::numeric_limits<double>::infinity();
+      v.push_back(x);
+    }
+    for (const double p : {0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 100.0}) {
+      const double got = percentile(v, p);
+      const double want = Cdf{v}.quantile(p / 100.0);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+          << "n=" << n << " p=" << p << " got " << got << " want " << want;
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, sizes.size() * 7);
 }
 
 TEST(Median, EvenCount) {

@@ -1,16 +1,22 @@
 // Differential tests for the incremental DeltaSolver: every resolve must be
 // byte-identical to a from-scratch solve_anycast over the same mutated
 // inputs — on hand-built graphs, on generated worlds, under randomized
-// fault soaks, and across fallback/verify/clone paths.
+// fault soaks, and across fallback/verify/clone paths. The rows a resolve
+// reports as changed are held against the routes that differ between two
+// scratch solves, and every full solve must report all rows.
 #include "ranycast/bgp/delta_solver.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <stdexcept>
 
 #include "outcome_equality.hpp"
+#include "ranycast/cdn/catalog.hpp"
 #include "ranycast/core/rng.hpp"
 #include "ranycast/geo/gazetteer.hpp"
+#include "ranycast/lab/lab.hpp"
 #include "ranycast/topo/generator.hpp"
 
 namespace ranycast::bgp {
@@ -63,6 +69,40 @@ struct Fixture {
 
   Graph& graph() { return world.graph; }
 };
+
+/// Dense indices of the ASes whose route differs between two outcomes:
+/// reachability, origin site, class, AS path or geo path — everything a
+/// catchment or an RTT reads.
+std::vector<std::uint32_t> routes_that_differ(const Graph& g, const RoutingOutcome& a,
+                                              const RoutingOutcome& b) {
+  std::vector<std::uint32_t> out;
+  const auto nodes = g.nodes();
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const Route* x = a.route_for(nodes[i].asn);
+    const Route* y = b.route_for(nodes[i].asn);
+    const bool differs =
+        (x == nullptr) != (y == nullptr) ||
+        (x != nullptr && (x->origin_site != y->origin_site || x->cls != y->cls ||
+                          x->as_path != y->as_path || x->geo_path != y->geo_path));
+    if (differs) out.push_back(static_cast<std::uint32_t>(i));
+  }
+  return out;
+}
+
+/// `changed` must list (ascending, without repeats) every row of `moved`.
+/// Returns whether it lists exactly those.
+bool expect_reports_moved(const ChangedRows& changed, const std::vector<std::uint32_t>& moved,
+                          const std::string& what) {
+  EXPECT_FALSE(changed.all) << what;
+  EXPECT_TRUE(std::is_sorted(changed.rows.begin(), changed.rows.end())) << what;
+  EXPECT_EQ(std::adjacent_find(changed.rows.begin(), changed.rows.end()), changed.rows.end())
+      << what;
+  for (const std::uint32_t x : moved) {
+    EXPECT_TRUE(std::binary_search(changed.rows.begin(), changed.rows.end(), x))
+        << what << ": the route of row " << x << " changed but was not reported";
+  }
+  return changed.rows == moved;
+}
 
 TEST(DeltaSolver, PrimeMatchesFullSolve) {
   Fixture fx;
@@ -193,11 +233,17 @@ TEST(DeltaSolver, RegionalWithdrawalFallsBackAndStillMatches) {
   const auto changes = diff_origin_changes(fx.origins, none);
   ASSERT_EQ(changes.size(), fx.origins.size());
   DeltaStats stats;
-  const auto after = solver.resolve(0, none, changes, {}, &stats);
+  // Stale content in the out-parameter must be replaced, not appended to.
+  ChangedRows changed{.all = false, .rows = {1, 2}};
+  const auto after = solver.resolve(0, none, changes, {}, &stats, &changed);
   EXPECT_EQ(stats.full_regions, 1u) << "whole-prefix withdrawal must exceed a quarter of ASes";
   EXPECT_EQ(stats.delta_regions, 0u);
   expect_outcomes_equal(g, after, solve_anycast(g, kCdn, none, kSeed), "fallback");
   EXPECT_EQ(after.reachable_count(), 0u);
+  // A fallback solves into a fresh arena: every row is reported.
+  EXPECT_TRUE(changed.all);
+  EXPECT_TRUE(changed.rows.empty());
+  EXPECT_EQ(stats.affected_ases, 0u);
 }
 
 TEST(DeltaSolver, SampledVerifyRunsClean) {
@@ -255,6 +301,11 @@ TEST(DeltaSolver, RandomizedFaultSoakMatchesFullSolveEveryStep) {
   std::vector<OriginAttachment> origins = fx.origins;
   std::vector<bool> link_up(links.size(), true);
   std::vector<bool> origin_live(fx.origins.size(), true);
+  // The reported rows are held against two scratch solves: the previous
+  // step's and this step's.
+  RoutingOutcome previous = solve_anycast(g, kCdn, origins, kSeed);
+  std::size_t incremental = 0;
+  std::size_t exact = 0;
   for (int step = 0; step < 40; ++step) {
     std::vector<LinkDelta> link_delta;
     std::vector<OriginChange> changes;
@@ -273,11 +324,135 @@ TEST(DeltaSolver, RandomizedFaultSoakMatchesFullSolveEveryStep) {
       }
       changes = diff_origin_changes(before, origins);
     }
-    const auto out = solver.resolve(0, origins, changes, link_delta);
-    const auto scratch = solve_anycast(g, kCdn, origins, kSeed);
-    expect_outcomes_equal(g, out, scratch, "soak step");
+    DeltaStats stats;
+    ChangedRows changed;
+    const auto out = solver.resolve(0, origins, changes, link_delta, &stats, &changed);
+    RoutingOutcome scratch = solve_anycast(g, kCdn, origins, kSeed);
+    const std::string what = "soak step " + std::to_string(step);
+    expect_outcomes_equal(g, out, scratch, what);
     if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_EQ(changed.all, stats.full_regions == 1) << what;
+    if (!changed.all) {
+      ++incremental;
+      const auto moved = routes_that_differ(g, previous, scratch);
+      if (expect_reports_moved(changed, moved, what)) ++exact;
+      EXPECT_EQ(stats.affected_ases, changed.rows.size()) << what;
+    }
+    previous = std::move(scratch);
   }
+  EXPECT_GE(incremental, 20u);  // the rest fell back to full solves
+  std::printf("changed rows exactly the moved routes on %zu of %zu incremental resolves\n",
+              exact, incremental);
+  ::testing::Test::RecordProperty("exact_reports", static_cast<int>(exact));
+}
+
+TEST(ChangedRows, VerifierSelfHealReportsAll) {
+  Fixture fx;
+  Graph& g = fx.graph();
+  const RoutingOutcome baseline = solve_anycast(g, kCdn, fx.origins, kSeed);
+  // A transit link of an origin holder whose loss moves some route.
+  std::pair<Asn, Asn> link{kInvalidAsn, kInvalidAsn};
+  for (const OriginAttachment& o : fx.origins) {
+    for (const topo::Edge& e : g.find(o.neighbor)->edges) {
+      if (link.first != kInvalidAsn || (e.rel != Rel::Provider && e.rel != Rel::Customer)) {
+        continue;
+      }
+      ASSERT_TRUE(g.set_link_state(o.neighbor, e.neighbor, false));
+      if (!routes_that_differ(g, baseline, solve_anycast(g, kCdn, fx.origins, kSeed)).empty()) {
+        link = {o.neighbor, e.neighbor};
+      }
+      ASSERT_TRUE(g.set_link_state(o.neighbor, e.neighbor, true));
+    }
+  }
+  ASSERT_NE(link.first, kInvalidAsn);
+
+  DeltaSolver solver(g, kCdn, 1, DeltaConfig{.verify_every = 1});
+  solver.prime(0, fx.origins, kSeed);
+  // The link goes down behind the solver's back: the incremental pass sees
+  // an empty delta, the verifier catches the stale outcome and self-heals.
+  ASSERT_TRUE(g.set_link_state(link.first, link.second, false));
+  DeltaStats stats;
+  ChangedRows changed;
+  const auto out = solver.resolve(0, fx.origins, {}, {}, &stats, &changed);
+  EXPECT_EQ(stats.verified, 1u);
+  EXPECT_EQ(stats.mismatches, 1u);
+  EXPECT_TRUE(changed.all);
+  EXPECT_TRUE(changed.rows.empty());
+  expect_outcomes_equal(g, out, solve_anycast(g, kCdn, fx.origins, kSeed), "self-heal");
+  ASSERT_TRUE(g.set_link_state(link.first, link.second, true));
+}
+
+TEST(ChangedRows, LabReportsNothingForUntouchedRegionsAndAllForAPrime) {
+  lab::LabConfig config;
+  config.world.stub_count = 400;
+  config.census.total_probes = 1200;
+  auto laboratory = lab::Lab::create(config);
+  lab::DeploymentHandle& handle =
+      *laboratory.handle_mut(laboratory.add_deployment(cdn::catalog::imperva6()));
+  cdn::Deployment& dep = handle.deployment;
+  const std::size_t regions = dep.regions().size();
+  ASSERT_GE(regions, 2u);
+  // A site announcing to exactly one region: its withdrawal touches that
+  // region's prefix only.
+  SiteId site = kInvalidSite;
+  std::size_t home = regions;
+  for (const cdn::Site& s : dep.sites()) {
+    std::size_t count = 0;
+    for (std::size_t r = 0; r < regions; ++r) count += s.announces(r) ? 1 : 0;
+    if (count == 1 && site == kInvalidSite) {
+      site = s.id;
+      for (std::size_t r = 0; r < regions; ++r) home = s.announces(r) ? r : home;
+    }
+  }
+  ASSERT_NE(site, kInvalidSite);
+
+  const auto origins = [&] {
+    std::vector<std::vector<OriginAttachment>> out;
+    for (std::size_t r = 0; r < regions; ++r) out.push_back(dep.origins_for_region(r));
+    return out;
+  };
+  const auto delta_between = [&](const auto& before, const auto& after) {
+    SolveDelta delta;
+    for (std::size_t r = 0; r < regions; ++r) {
+      delta.origins.push_back(diff_origin_changes(before[r], after[r]));
+    }
+    return delta;
+  };
+  const auto scratch = [&](std::size_t r) {
+    return laboratory.solve_origins(dep.asn(), dep.origins_for_region(r), r);
+  };
+
+  // Withdraw: the home region is touched for the first time and primed.
+  const auto announced = origins();
+  const RoutingOutcome announced_home = scratch(home);
+  const auto undo = dep.withdraw_site(site);
+  std::vector<ChangedRows> changed{ChangedRows{.all = true, .rows = {7}}};
+  laboratory.resolve_delta(handle, delta_between(announced, origins()), &changed);
+  ASSERT_EQ(changed.size(), regions);
+  for (std::size_t r = 0; r < regions; ++r) {
+    EXPECT_EQ(changed[r].all, r == home) << "region " << r;
+    EXPECT_TRUE(changed[r].rows.empty()) << "region " << r;
+  }
+
+  // Restore: the home region is primed now and reports the rows that moved.
+  const auto withdrawn = origins();
+  const RoutingOutcome withdrawn_home = scratch(home);
+  dep.restore_site(site, undo);
+  const DeltaStats stats =
+      laboratory.resolve_delta(handle, delta_between(withdrawn, origins()), &changed);
+  ASSERT_EQ(changed.size(), regions);
+  EXPECT_EQ(stats.regions, 1u);
+  for (std::size_t r = 0; r < regions; ++r) {
+    if (r == home) continue;
+    EXPECT_FALSE(changed[r].all) << "region " << r;
+    EXPECT_TRUE(changed[r].rows.empty()) << "region " << r;
+  }
+  const auto moved = routes_that_differ(laboratory.world().graph, withdrawn_home, scratch(home));
+  EXPECT_FALSE(moved.empty());
+  expect_reports_moved(changed[home], moved, "restore");
+  EXPECT_EQ(stats.affected_ases, changed[home].rows.size());
+  expect_outcomes_equal(laboratory.world().graph, handle.outcomes[home], announced_home,
+                        "restored");
 }
 
 TEST(DeltaSolver, HandBuiltPeerPreferenceDelta) {

@@ -1,13 +1,18 @@
 // The chaos engine measures each lab state once: step i's after-pass and
 // post-fault traffic solve are step i+1's before-pass and before-traffic,
-// routing events keep every probe's DNS answer, and demand events copy the
-// pass. This file checks that against a deliberately naive reference that
-// re-measures everything twice per step, serially, from public calls only
+// routing events keep every probe's DNS answer and redo route and ping only
+// for the probes whose AS row the re-solve changed, the traffic assignment
+// is redone only where a row changed, and demand events copy the pass. This
+// file checks that against a deliberately naive reference that re-measures
+// everything twice per step, serially, from public calls only
 // (Lab::dns_lookup, DeploymentHandle::route_for, Lab::ping, traffic::solve)
 // — on every shipped chaos scenario, on a plan that puts every fault kind
-// back to back, and at worker counts {1, 2, hardware}. A guarded run killed
-// and resumed at steps {1, n/2, n-1} with traffic and transient recording
-// on must match an uninterrupted run byte for byte.
+// back to back, on seeded transit link flaps, and at worker counts {1, 2,
+// hardware}. Link flaps that change an RTT without moving a site are
+// followed by that site's withdrawal, so a stale RTT would surface in the
+// affected set's percentiles. A guarded run killed and resumed at steps
+// {1, n/2, n-1} with traffic and transient recording on must match an
+// uninterrupted run byte for byte.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -22,6 +27,7 @@
 #include "ranycast/chaos/engine.hpp"
 #include "ranycast/chaos/scenario.hpp"
 #include "ranycast/converge/plane.hpp"
+#include "ranycast/core/rng.hpp"
 #include "ranycast/exec/pool.hpp"
 #include "ranycast/geo/gazetteer.hpp"
 #include "ranycast/obs/report.hpp"
@@ -406,6 +412,152 @@ TEST(IncrementalMeasure, EveryKindPlanMatchesReferenceAtEveryWorkerCount) {
     EXPECT_EQ(engine_json(plan, everything_on()), expected) << workers << " workers";
   }
   pool.resize(original);
+}
+
+FaultEvent link_event(FaultKind kind, const std::pair<Asn, Asn>& link) {
+  FaultEvent e;
+  e.kind = kind;
+  e.a = link.first;
+  e.b = link.second;
+  return e;
+}
+
+/// What losing one transit adjacency (customer, provider) of the tiny lab
+/// changes for the retained probes.
+struct LinkEffect {
+  std::pair<Asn, Asn> link;
+  /// Some probe's catchment moved in some region, not necessarily the one
+  /// DNS answers it with (the shed alternates read every region).
+  bool moves{false};
+  /// The site of a probe whose RTT changed while it kept its site, else
+  /// kInvalidSite.
+  SiteId stale_site{kInvalidSite};
+};
+
+/// Every transit adjacency of the tiny lab in node order, each taken down
+/// and brought back up on a lab of its own, measured from public calls in
+/// between.
+std::vector<LinkEffect> link_effects() {
+  auto laboratory = lab::Lab::create(tiny_config());
+  const auto& handle = laboratory.add_deployment(cdn::catalog::imperva6());
+  Engine mutator(laboratory, handle);
+  const std::size_t regions = handle.deployment.regions().size();
+  const auto catchments = [&] {
+    std::vector<std::optional<SiteId>> out;
+    for (const atlas::Probe* p : laboratory.census().retained()) {
+      for (std::size_t r = 0; r < regions; ++r) out.push_back(handle.catchment(p->asn, r));
+    }
+    return out;
+  };
+  const std::vector<View> base = measure(laboratory, handle);
+  const auto base_catchments = catchments();
+  std::vector<std::pair<Asn, Asn>> links;
+  for (const topo::AsNode& node : laboratory.world().graph.nodes()) {
+    for (const topo::Edge& e : node.edges) {
+      if (e.rel == topo::Rel::Provider) links.emplace_back(node.asn, e.neighbor);
+    }
+  }
+  std::vector<LinkEffect> out;
+  for (const auto& link : links) {
+    EXPECT_EQ(mutator.apply_event(link_event(FaultKind::LinkDown, link)), "");
+    LinkEffect effect{link, catchments() != base_catchments, kInvalidSite};
+    const std::vector<View> after = measure(laboratory, handle);
+    for (std::size_t p = 0; p < base.size() && effect.stale_site == kInvalidSite; ++p) {
+      const View& b = base[p];
+      const View& a = after[p];
+      if (b.routed && a.routed && b.site == a.site && b.rtt && a.rtt && b.rtt->ms != a.rtt->ms) {
+        effect.stale_site = b.site;
+      }
+    }
+    out.push_back(effect);
+    EXPECT_EQ(mutator.apply_event(link_event(FaultKind::LinkUp, link)), "");
+  }
+  return out;
+}
+
+const std::vector<LinkEffect>& tiny_link_effects() {
+  static const std::vector<LinkEffect> effects = link_effects();
+  return effects;
+}
+
+/// Seeded flaps of transit adjacencies whose loss moves some catchment,
+/// two at a time and overlapping: down a, down b, up a, up b.
+FaultPlan linkflap_plan(std::uint64_t seed) {
+  std::vector<std::pair<Asn, Asn>> links;
+  for (const LinkEffect& e : tiny_link_effects()) {
+    if (e.moves) links.push_back(e.link);
+  }
+  EXPECT_GE(links.size(), 8u);
+  Rng rng(seed);
+  for (std::size_t k = 0; k + 1 < links.size(); ++k) {
+    std::swap(links[k], links[k + rng.below(links.size() - k)]);
+  }
+  FaultPlan plan;
+  plan.name = "linkflap";
+  for (std::size_t k = 0; k + 1 < std::min<std::size_t>(links.size(), 8); k += 2) {
+    plan.events.push_back(link_event(FaultKind::LinkDown, links[k]));
+    plan.events.push_back(link_event(FaultKind::LinkDown, links[k + 1]));
+    plan.events.push_back(link_event(FaultKind::LinkUp, links[k]));
+    plan.events.push_back(link_event(FaultKind::LinkUp, links[k + 1]));
+  }
+  return plan;
+}
+
+TEST(IncrementalMeasure, LinkFlapPlanMatchesReferenceAtEveryWorkerCount) {
+  for (const std::uint64_t seed : {std::uint64_t{5}, std::uint64_t{2023}}) {
+    SCOPED_TRACE(seed);
+    const FaultPlan plan = linkflap_plan(seed);
+    ASSERT_EQ(plan.events.size(), 16u);
+    const std::string expected = reference_json(plan, everything_on());
+    ASSERT_FALSE(expected.empty());
+    auto& pool = exec::ThreadPool::global();
+    const unsigned original = pool.worker_count();
+    std::vector<unsigned> sweep{1, 2};
+    const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+    if (hardware > 2) sweep.push_back(hardware);
+    for (const unsigned workers : sweep) {
+      pool.resize(workers);
+      EXPECT_EQ(engine_json(plan, everything_on()), expected) << workers << " workers";
+    }
+    pool.resize(original);
+  }
+}
+
+TEST(IncrementalMeasure, RttChangeWithoutSiteMoveReachesTheNextStep) {
+  // Links whose loss changes some probe's RTT without moving it off its
+  // site. Withdrawing that site right after the link goes down makes its
+  // catchment the affected set, so the link-down step's after-pass RTTs
+  // become the withdrawal step's before_p50_ms/before_p90_ms: a probe that
+  // kept its site but was not re-pinged would carry a stale RTT into them.
+  // The second plan primes every region with an unrelated flap first, so
+  // the link-down step is an incremental re-solve rather than a prime.
+  const auto& effects = tiny_link_effects();
+  std::size_t cases = 0;
+  for (const LinkEffect& e : effects) {
+    if (e.stale_site == kInvalidSite || cases == 3) continue;
+    ++cases;
+    SCOPED_TRACE("AS" + std::to_string(value(e.link.first)) + "-AS" +
+                 std::to_string(value(e.link.second)) + ", site " +
+                 std::to_string(value(e.stale_site)));
+    FaultEvent withdraw;
+    withdraw.kind = FaultKind::SiteWithdraw;
+    withdraw.site = e.stale_site;
+    FaultPlan cold;
+    cold.name = "stale-rtt";
+    cold.events = {link_event(FaultKind::LinkDown, e.link), withdraw};
+    const auto& other = effects.front().link != e.link ? effects.front() : effects.back();
+    FaultPlan warm = cold;
+    warm.events.insert(warm.events.begin(), {link_event(FaultKind::LinkDown, other.link),
+                                             link_event(FaultKind::LinkUp, other.link)});
+    for (const FaultPlan* plan : {&cold, &warm}) {
+      for (const Recording& rec : {Recording{}, everything_on()}) {
+        const std::string expected = reference_json(*plan, rec);
+        ASSERT_FALSE(expected.empty());
+        EXPECT_EQ(engine_json(*plan, rec), expected) << plan->events.size() << " steps";
+      }
+    }
+  }
+  EXPECT_EQ(cases, 3u);
 }
 
 std::string checkpoint_path(const std::string& tag) {
