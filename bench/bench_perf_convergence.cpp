@@ -44,8 +44,8 @@ void BM_ConvergeWithdrawRestore(benchmark::State& state) {
   converge::PrefixSim sim(laboratory.world().graph, im6.deployment.asn(),
                           hash_combine(laboratory.config().seed, 0), converge::Config{});
   sim.cold_start(origins);
-  const converge::OriginDelta withdraw{false, origins[0]};
-  const converge::OriginDelta restore{true, origins[0]};
+  const bgp::OriginChange withdraw{false, origins[0]};
+  const bgp::OriginChange restore{true, origins[0]};
   for (auto _ : state) {
     // The pair returns the sim to its initial quiesced state, so every
     // iteration runs the identical two transients.
@@ -72,8 +72,8 @@ void BM_ConvergePlaneStep(benchmark::State& state) {
     probes.push_back({p->asn, answer.region});
   }
   const auto origins = im6.deployment.origins_for_region(0);
-  std::vector<std::vector<converge::OriginDelta>> withdraw(plane.region_count());
-  std::vector<std::vector<converge::OriginDelta>> restore(plane.region_count());
+  std::vector<std::vector<bgp::OriginChange>> withdraw(plane.region_count());
+  std::vector<std::vector<bgp::OriginChange>> restore(plane.region_count());
   withdraw[0].push_back({false, origins[0]});
   restore[0].push_back({true, origins[0]});
   for (auto _ : state) {

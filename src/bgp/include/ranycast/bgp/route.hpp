@@ -73,6 +73,8 @@ struct OriginAttachment {
   /// transit from the neighbor; the peer kinds are IXP-style peerings.
   topo::Rel neighbor_rel{topo::Rel::Customer};
   bool onsite_router{true};  ///< the site runs its own edge router (p-hop owner)
+
+  bool operator==(const OriginAttachment&) const = default;
 };
 
 }  // namespace ranycast::bgp

@@ -17,7 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "ranycast/core/rng.hpp"
+#include "ranycast/bgp/rules.hpp"
 #include "ranycast/geo/gazetteer.hpp"
 #include "ranycast/obs/span.hpp"
 
@@ -34,12 +34,13 @@ constexpr std::size_t kInfLen = std::numeric_limits<std::size_t>::max();
 /// touched frontier exceeds this fraction of all ASes.
 constexpr double kFallbackFrac = 0.25;
 
-/// One selection stage's results as parallel arrays over dense node index.
-/// `path == kNoPath` gates occupancy, exactly like CompactRoute::valid().
+/// One selection stage's results as parallel arrays over dense node index:
+/// the arena path plus one lane per rules::Attrs field. `path == kNoPath`
+/// gates occupancy, exactly like CompactRoute::valid().
 struct Plane {
   std::vector<std::uint32_t> path;
   std::vector<std::uint16_t> len;
-  std::vector<std::uint8_t> cls;
+  std::vector<RouteClass> cls;
   std::vector<SiteId> site;
   std::vector<CityId> last_city;
   std::vector<double> ingress;
@@ -49,7 +50,7 @@ struct Plane {
   void reset(std::size_t n) {
     path.assign(n, kNoPath);
     len.assign(n, 0);
-    cls.assign(n, 0);
+    cls.assign(n, RouteClass::Provider);
     site.assign(n, kInvalidSite);
     last_city.assign(n, kInvalidCity);
     ingress.assign(n, 0.0);
@@ -58,6 +59,21 @@ struct Plane {
   }
   bool valid(std::size_t i) const noexcept { return path[i] != kNoPath; }
   void clear_row(std::size_t i) noexcept { path[i] = kNoPath; }
+
+  rules::Attrs attrs(std::size_t i) const noexcept {
+    return rules::Attrs{len[i],     last_city[i], site[i],    cls[i],
+                        ingress[i], hash_base[i], tiebreak[i]};
+  }
+  void set_row(std::size_t i, std::uint32_t id, const rules::Attrs& a) noexcept {
+    path[i] = id;
+    len[i] = a.len;
+    cls[i] = a.cls;
+    site[i] = a.site;
+    last_city[i] = a.last_city;
+    ingress[i] = a.ingress_km;
+    hash_base[i] = a.hash_base;
+    tiebreak[i] = a.tiebreak;
+  }
 };
 
 /// A row snapshot taken before the incremental pass mutates it: the arena
@@ -65,13 +81,7 @@ struct Plane {
 /// not whatever intermediate value the fixpoint passed through.
 struct SavedRow {
   std::uint32_t path{kNoPath};
-  std::uint16_t len{0};
-  std::uint8_t cls{0};
-  SiteId site{kInvalidSite};
-  CityId last_city{kInvalidCity};
-  double ingress{0.0};
-  std::uint64_t hash_base{0};
-  std::uint64_t tiebreak{0};
+  rules::Attrs attrs{};
 };
 
 /// The outcome rows of a final-selection plane (the lanes of an empty row
@@ -85,27 +95,25 @@ std::vector<RoutingOutcome::Entry> entries_of(const Plane& f) {
     out[i].path = f.path[i];
     out[i].len = f.len[i];
     out[i].origin_site = f.site[i];
-    out[i].cls = static_cast<RouteClass>(f.cls[i]);
+    out[i].cls = f.cls[i];
     out[i].ingress_km = f.ingress[i];
     out[i].tiebreak = f.tiebreak[i];
   }
   return entries;
 }
 
-SavedRow save_row(const Plane& p, std::size_t i) {
-  return SavedRow{p.path[i],      p.len[i],     p.cls[i],       p.site[i],
-                  p.last_city[i], p.ingress[i], p.hash_base[i], p.tiebreak[i]};
-}
+SavedRow save_row(const Plane& p, std::size_t i) { return SavedRow{p.path[i], p.attrs(i)}; }
 
 /// Content inequality. Arena node ids are content-addressed by the reuse
 /// logic (an unchanged hop keeps its old id), so id + origin-site + class
 /// pin the whole route: equal ids mean equal (parent chain, ASN, city)
 /// and therefore equal length/ingress/hash lanes.
 bool row_differs(const Plane& p, std::size_t i, const SavedRow& s) {
-  return p.path[i] != s.path || p.site[i] != s.site || p.cls[i] != s.cls;
+  return p.path[i] != s.path || p.site[i] != s.attrs.site || p.cls[i] != s.attrs.cls;
 }
 
-/// Dijkstra/worklist ordering — identical to the AoS solver's HeapKey.
+/// Dijkstra/worklist ordering: rules::decide within one class (length, hot
+/// potato, hash), then the node index.
 struct Key {
   std::size_t len{kInfLen};
   double ingress{0.0};
@@ -125,27 +133,22 @@ bool key_eq(const Key& a, const Key& b) noexcept {
          a.node == b.node;
 }
 
-/// A candidate route in flight. Unlike the old CompactRoute it defers the
-/// arena append: the hop is carried as (parent, via, hop-city) and only
-/// materialized into the arena when the candidate is accepted — losing
-/// candidates never allocate, and an accepted hop identical to the node's
-/// pre-delta hop reuses the old arena id (splice identity).
+/// A candidate route in flight. It defers the arena append: the hop is
+/// carried as (parent, via, attrs.last_city) and only materialized into the
+/// arena when the candidate is accepted — losing candidates never allocate,
+/// and an accepted hop identical to the node's pre-delta hop reuses the old
+/// arena id (splice identity).
 struct Cand {
   std::uint32_t parent{kNoPath};  ///< arena node of the parent path
   std::uint32_t ready{kNoPath};   ///< pre-built arena node to adopt verbatim
   Asn via{kInvalidAsn};           ///< exporter of this hop
-  CityId hop{kInvalidCity};       ///< egress city of this hop (== last_city)
-  std::uint16_t len{0};
-  SiteId site{kInvalidSite};
-  std::uint8_t cls{0};
-  double ingress{0.0};
-  std::uint64_t hash_base{0};
-  std::uint64_t tiebreak{0};
-  std::uint32_t node{0};  ///< dense index of the AS this candidate is for
+  std::uint32_t node{0};          ///< dense index of the AS this candidate is for
+  rules::Attrs attrs{};
   bool valid{false};
 
   Key key() const noexcept {
-    return valid ? Key{len, ingress, tiebreak, node} : Key{kInfLen, 0.0, 0, node};
+    return valid ? Key{attrs.len, attrs.ingress_km, attrs.tiebreak, node}
+                 : Key{kInfLen, 0.0, 0, node};
   }
 };
 
@@ -198,52 +201,25 @@ struct SoaEngine {
         s(s_),
         f(f_) {}
 
-  // ---- candidate construction (hash/key chains identical to the AoS solver)
+  // ---- candidate construction: the attributes come from bgp::rules ------
 
-  CityId egress_city(CityId from, const topo::Edge& edge) const {
-    if (edge.cities.size() == 1) return edge.cities.front();
-    CityId best = edge.cities.front();
-    double best_km = std::numeric_limits<double>::infinity();
-    for (CityId city : edge.cities) {
-      const double d = gaz.distance(from, city).km;
-      if (d < best_km) {
-        best_km = d;
-        best = city;
-      }
-    }
-    return best;
-  }
-
-  Cand seed_cand(const OriginAttachment& o, RouteClass cls, std::size_t holder) const {
+  Cand seed_cand(const OriginAttachment& o, std::size_t holder) const {
     Cand out;
     out.valid = true;
     out.node = static_cast<std::uint32_t>(holder);
     out.via = cdn;
-    out.hop = o.site_city;
-    out.len = 1;
-    out.site = o.site;
-    out.cls = static_cast<std::uint8_t>(cls);
-    out.ingress = gaz.distance(nodes[holder].home_city, o.site_city).km;
-    out.hash_base = hash_combine(hash_combine(seed, value(o.site_city)), value(cdn));
-    out.tiebreak = hash_combine(out.hash_base, value(nodes[holder].asn));
+    out.attrs = rules::seed(gaz, seed, cdn, o, nodes[holder]);
     return out;
   }
 
   Cand extend_cand(const Plane& p, std::size_t y, const topo::Edge& e, std::size_t x,
                    RouteClass cls) const {
-    const CityId egress = egress_city(p.last_city[y], e);
     Cand out;
     out.valid = true;
     out.node = static_cast<std::uint32_t>(x);
     out.parent = p.path[y];
     out.via = nodes[y].asn;
-    out.hop = egress;
-    out.len = static_cast<std::uint16_t>(p.len[y] + 1);
-    out.site = p.site[y];
-    out.cls = static_cast<std::uint8_t>(cls);
-    out.ingress = gaz.distance(nodes[x].home_city, egress).km;
-    out.hash_base = hash_combine(p.hash_base[y], value(out.via));
-    out.tiebreak = hash_combine(out.hash_base, value(nodes[x].asn));
+    out.attrs = rules::extend(gaz, p.attrs(y), out.via, e, nodes[x], cls);
     return out;
   }
 
@@ -254,28 +230,21 @@ struct SoaEngine {
     out.valid = true;
     out.node = static_cast<std::uint32_t>(i);
     out.ready = p.path[i];
-    out.hop = p.last_city[i];
-    out.len = p.len[i];
-    out.site = p.site[i];
-    out.cls = p.cls[i];
-    out.ingress = p.ingress[i];
-    out.hash_base = p.hash_base[i];
-    out.tiebreak = p.tiebreak[i];
+    out.attrs = p.attrs(i);
     return out;
   }
 
-  /// Preference comparison across classes (stage 2 only, like the AoS
-  /// solver): higher class wins, then shorter path, then hot potato, then
-  /// the tie-break hash.
-  bool better(const Cand& a, const Cand& b) {
-    if (a.cls != b.cls) return a.cls > b.cls;
-    if (a.len != b.len) return a.len < b.len;
-    if (a.ingress != b.ingress) {  // hot potato
-      ++hot_potato;
-      return a.ingress < b.ingress;
+  /// Keep the preferred of `best` and `cand` across classes (stage 2 only),
+  /// tallying which rule decided.
+  void offer(Cand& best, const Cand& cand) {
+    if (!best.valid) {
+      best = cand;
+      return;
     }
-    ++tiebreak_hash;
-    return a.tiebreak < b.tiebreak;
+    const rules::Decision d = rules::decide(cand.attrs, best.attrs);
+    if (d.rule == rules::Rule::HotPotato) ++hot_potato;
+    if (d.rule == rules::Rule::Hash) ++tiebreak_hash;
+    if (d.first) best = cand;
   }
 
   /// Install an accepted candidate. `orig` (the node's pre-delta row, null
@@ -288,28 +257,22 @@ struct SoaEngine {
       id = cand.ready;
     } else if (orig != nullptr && orig->path != kNoPath &&
                arena.parent_of(orig->path) == cand.parent &&
-               arena.asn_of(orig->path) == cand.via && arena.city_of(orig->path) == cand.hop) {
+               arena.asn_of(orig->path) == cand.via &&
+               arena.city_of(orig->path) == cand.attrs.last_city) {
       id = orig->path;
     } else {
-      id = arena.append(cand.parent, cand.via, cand.hop);
+      id = arena.append(cand.parent, cand.via, cand.attrs.last_city);
     }
-    const std::size_t i = cand.node;
-    p.path[i] = id;
-    p.len[i] = cand.len;
-    p.cls[i] = cand.cls;
-    p.site[i] = cand.site;
-    p.last_city[i] = cand.hop;
-    p.ingress[i] = cand.ingress;
-    p.hash_base[i] = cand.hash_base;
-    p.tiebreak[i] = cand.tiebreak;
+    p.set_row(cand.node, id, cand.attrs);
   }
 
+  /// The seeding originations by holder: customer ones seed stage 1, peer
+  /// ones stage 2.
   SeedMap seeds_by_holder(std::span<const OriginAttachment> origin_set, bool peer) const {
     SeedMap out;
     for (std::size_t k = 0; k < origin_set.size(); ++k) {
       const OriginAttachment& o = origin_set[k];
-      if (peer != topo::is_peer(o.neighbor_rel)) continue;
-      if (!peer && o.neighbor_rel != topo::Rel::Customer) continue;
+      if (!rules::seeds_route(o) || topo::is_peer(o.neighbor_rel) != peer) continue;
       if (const auto idx = graph.index_of(o.neighbor)) out[*idx].push_back(k);
     }
     return out;
@@ -324,10 +287,10 @@ struct SoaEngine {
     obs::ScopedTimer stage_timer(h_stage);
     CandHeap heap;
     for (const OriginAttachment& o : origins) {
-      if (o.neighbor_rel != topo::Rel::Customer) continue;
+      if (!rules::seeds_route(o) || topo::is_peer(o.neighbor_rel)) continue;
       const auto idx = graph.index_of(o.neighbor);
       if (!idx) continue;
-      const Cand cand = seed_cand(o, RouteClass::Customer, *idx);
+      const Cand cand = seed_cand(o, *idx);
       heap.push(CandHeapEntry{cand.key(), cand});
     }
     while (!heap.empty()) {
@@ -351,23 +314,15 @@ struct SoaEngine {
   Cand stage2_candidate(std::size_t i) {
     Cand best;
     if (const auto it = peer_seeds.find(i); it != peer_seeds.end()) {
-      for (const std::size_t k : it->second) {
-        const OriginAttachment& o = origins[k];
-        const Cand cand = seed_cand(o, class_of(o.neighbor_rel), i);
-        if (!best.valid || better(cand, best)) best = cand;
-      }
+      for (const std::size_t k : it->second) offer(best, seed_cand(origins[k], i));
     }
     for (const topo::Edge& e : nodes[i].edges) {
       if (!e.up || !topo::is_peer(e.rel)) continue;
       const auto nidx = graph.index_of(e.neighbor);
       if (!nidx || !c.valid(*nidx)) continue;
-      const Cand cand = extend_cand(c, *nidx, e, i, class_of(e.rel));
-      if (!best.valid || better(cand, best)) best = cand;
+      offer(best, extend_cand(c, *nidx, e, i, class_of(e.rel)));
     }
-    if (c.valid(i)) {
-      const Cand cand = adopt_cand(c, i);
-      if (!best.valid || better(cand, best)) best = cand;
-    }
+    if (c.valid(i)) offer(best, adopt_cand(c, i));
     return best;
   }
 
@@ -441,7 +396,7 @@ struct SoaEngine {
     Cand best;
     if (const auto it = cust_seeds.find(x); it != cust_seeds.end()) {
       for (const std::size_t k : it->second) {
-        const Cand cand = seed_cand(origins[k], RouteClass::Customer, x);
+        const Cand cand = seed_cand(origins[k], x);
         if (!best.valid || key_less(cand.key(), best.key())) best = cand;
       }
     }
@@ -573,11 +528,11 @@ class Worklist {
   bool consistent(std::size_t x, const Cand& rhs) const {
     if (!rhs.valid) return !p_.valid(x);
     if (!p_.valid(x)) return false;
-    if (p_.site[x] != rhs.site || p_.cls[x] != rhs.cls) return false;
+    if (p_.site[x] != rhs.attrs.site || p_.cls[x] != rhs.attrs.cls) return false;
     if (rhs.ready != kNoPath) return p_.path[x] == rhs.ready;
     const std::uint32_t id = p_.path[x];
     return eng_.arena.parent_of(id) == rhs.parent && eng_.arena.asn_of(id) == rhs.via &&
-           eng_.arena.city_of(id) == rhs.hop;
+           eng_.arena.city_of(id) == rhs.attrs.last_city;
   }
 
   Key g_key(std::size_t x) const {
@@ -727,15 +682,6 @@ RoutingOutcome solve_anycast(const topo::Graph& graph, Asn cdn_asn,
 
 // ---- diff_origin_changes ----------------------------------------------------
 
-namespace {
-
-bool origin_eq(const OriginAttachment& a, const OriginAttachment& b) noexcept {
-  return a.site == b.site && a.site_city == b.site_city && a.neighbor == b.neighbor &&
-         a.neighbor_rel == b.neighbor_rel && a.onsite_router == b.onsite_router;
-}
-
-}  // namespace
-
 std::vector<OriginChange> diff_origin_changes(std::span<const OriginAttachment> before,
                                               std::span<const OriginAttachment> after) {
   std::vector<OriginChange> out;
@@ -743,7 +689,7 @@ std::vector<OriginChange> diff_origin_changes(std::span<const OriginAttachment> 
   for (const OriginAttachment& b : before) {
     bool found = false;
     for (std::size_t j = 0; j < after.size(); ++j) {
-      if (!matched[j] && origin_eq(b, after[j])) {
+      if (!matched[j] && b == after[j]) {
         matched[j] = true;
         found = true;
         break;

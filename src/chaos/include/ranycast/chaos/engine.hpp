@@ -193,6 +193,8 @@ class Engine {
     bool dns{false};     ///< geo-DB state or a measurement fault
     /// Routing events: per region, the AS rows the re-solve changed.
     std::vector<bgp::ChangedRows> rows;
+    /// Routing events: per region, the origin changes the re-solve was given.
+    std::vector<std::vector<bgp::OriginChange>> origins;
   };
 
   /// "" on success, else the error. `changed` (if given) receives what the

@@ -172,12 +172,14 @@ traffic::SiteLoad read_site_load(guard::ByteReader& r) {
   return s;
 }
 
-traffic::StepTraffic read_traffic(guard::ByteReader& r) {
+/// nullopt when the site count exceeds the bytes left (each site takes more
+/// than one), so a corrupt count fails the decode instead of the reserve.
+std::optional<traffic::StepTraffic> read_traffic(guard::ByteReader& r) {
   traffic::StepTraffic t;
   t.index = r.u64();
   t.event = r.str();
   const std::uint64_t sites = r.u64();
-  if (!r.ok()) return t;
+  if (!r.ok() || sites > r.remaining()) return std::nullopt;
   t.solve.sites.reserve(sites);
   for (std::uint64_t i = 0; i < sites && r.ok(); ++i) {
     t.solve.sites.push_back(read_site_load(r));
@@ -229,12 +231,13 @@ converge::RegionTransient read_region_transient(guard::ByteReader& r) {
   return t;
 }
 
-converge::StepTransient read_transient(guard::ByteReader& r) {
+/// nullopt when the region count exceeds the bytes left, like read_traffic.
+std::optional<converge::StepTransient> read_transient(guard::ByteReader& r) {
   converge::StepTransient s;
   s.index = r.u64();
   s.event = r.str();
   const std::uint64_t regions = r.u64();
-  if (!r.ok()) return s;
+  if (!r.ok() || regions > r.remaining()) return std::nullopt;
   s.regions.reserve(regions);
   for (std::uint64_t i = 0; i < regions && r.ok(); ++i) {
     s.regions.push_back(read_region_transient(r));
@@ -670,6 +673,7 @@ std::string Engine::apply(const FaultEvent& e, Changes* changed) {
     // the resume fast-forward do not ask for them.
     const bgp::DeltaStats stats =
         lab_.resolve_delta(*handle_, delta, changed != nullptr ? &changes.rows : nullptr);
+    changes.origins = std::move(delta.origins);
     last_step_delta_ = stats;
     if (obs::enabled()) {
       auto& reg = metrics();
@@ -702,11 +706,9 @@ core::Expected<StepReport, std::string> Engine::execute_step(
   std::vector<ProbeView>& after = carry.after;
 
   const bool transient = transient_cfg_.has_value() && transient_out != nullptr;
-  std::vector<std::vector<bgp::OriginAttachment>> origins_before;
   if (transient) {
     obs::Span converge_span("chaos.converge");
     ensure_plane();  // baseline must quiesce on the pre-fault state
-    origins_before = converge::origins_by_region(dep);
   }
 
   if (!carry.measured) {
@@ -821,7 +823,6 @@ core::Expected<StepReport, std::string> Engine::execute_step(
 
   if (transient) {
     obs::Span converge_span("chaos.converge");
-    const auto deltas = converge::diff_origins(origins_before, converge::origins_by_region(dep));
     // Probes enter the transient rollup from the pre-fault view: the AS they
     // measure from and the regional prefix they were being served from when
     // the fault hit — that prefix's convergence is their outage.
@@ -830,7 +831,7 @@ core::Expected<StepReport, std::string> Engine::execute_step(
     for (const ProbeView& b : before) {
       refs.push_back(converge::ProbeRef{b.probe->asn, b.answer.region});
     }
-    transient_out->push_back(plane_->step(index, describe(event), deltas, refs));
+    transient_out->push_back(plane_->step(index, describe(event), changes.origins, refs));
   }
 
   if (traffic_on) {
@@ -989,7 +990,11 @@ core::Expected<GuardedChaosRun, std::string> Engine::run_guarded(
       if (!r.ok() || tcount != count) return false;
       report.transient.clear();
       report.transient.reserve(tcount);
-      for (std::uint64_t i = 0; i < tcount; ++i) report.transient.push_back(read_transient(r));
+      for (std::uint64_t i = 0; i < tcount; ++i) {
+        auto t = read_transient(r);
+        if (!t) return false;
+        report.transient.push_back(std::move(*t));
+      }
       // An oscillation-truncated step leaves the convergence plane in a
       // mid-flight state that the *next* step repairs with an in-step
       // re-flood. A resumed plane cold-starts onto the stable state instead
@@ -1004,7 +1009,11 @@ core::Expected<GuardedChaosRun, std::string> Engine::run_guarded(
       if (!r.ok() || tcount != count) return false;
       report.traffic.clear();
       report.traffic.reserve(tcount);
-      for (std::uint64_t i = 0; i < tcount; ++i) report.traffic.push_back(read_traffic(r));
+      for (std::uint64_t i = 0; i < tcount; ++i) {
+        auto t = read_traffic(r);
+        if (!t) return false;
+        report.traffic.push_back(std::move(*t));
+      }
       // The surge scale and flow cache are rebuilt by the fast-forward
       // replay below (traffic_surge events are appliable mutations like any
       // other fault), so no traffic-plane state travels outside the steps.

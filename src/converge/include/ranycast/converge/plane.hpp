@@ -4,7 +4,7 @@
 //
 // The Plane sits between the chaos engine and the per-prefix simulators. The
 // engine mutates topology/announcement state, hands the plane the origin
-// deltas it caused, and gets back a StepTransient: per-region convergence
+// changes it caused, and gets back a StepTransient: per-region convergence
 // aggregates plus per-probe blackhole/loop/flip accounting and a
 // differential verdict against the freshly re-solved steady state. Regions
 // are independent (one prefix each), so they run concurrently; every
@@ -60,9 +60,12 @@ struct StepTransient {
 std::vector<std::vector<bgp::OriginAttachment>> origins_by_region(
     const cdn::Deployment& dep);
 
-/// Per-region origin deltas turning `before` into `after`: withdrawals
-/// first, then announcements, both in `before`/`after` order.
-std::vector<std::vector<OriginDelta>> diff_origins(
+/// Per-region origin changes turning `before` into `after`
+/// (bgp::diff_origin_changes of each region): withdrawals first, then
+/// announcements, both in `before`/`after` order. chaos::Engine hands the
+/// plane the changes its re-solve was given instead; this serves callers
+/// that drive the plane around Engine::apply_event.
+std::vector<std::vector<bgp::OriginChange>> diff_origins(
     const std::vector<std::vector<bgp::OriginAttachment>>& before,
     const std::vector<std::vector<bgp::OriginAttachment>>& after);
 
@@ -80,12 +83,13 @@ class Plane {
 
   std::size_t region_count() const noexcept { return sims_.size(); }
 
-  /// Run one transient step: per-region origin deltas (from diff_origins)
-  /// feed each region's simulator, which also discovers link-state changes
-  /// by diffing its session overlay against the graph. Regions fan out over
-  /// the thread pool; the rollup is reduced in region/probe order.
+  /// Run one transient step: per-region origin changes (the ones the
+  /// re-solve was given) feed each region's simulator, which also
+  /// discovers link-state changes by diffing its session overlay against
+  /// the graph. Missing trailing regions mean "no change". Regions fan out
+  /// over the thread pool; the rollup is reduced in region/probe order.
   StepTransient step(std::size_t index, std::string event,
-                     std::span<const std::vector<OriginDelta>> deltas_by_region,
+                     std::span<const std::vector<bgp::OriginChange>> changes_by_region,
                      std::span<const ProbeRef> probes);
 
  private:

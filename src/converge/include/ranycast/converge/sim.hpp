@@ -2,8 +2,8 @@
 //
 // PrefixSim runs the distributed counterpart of bgp::solve_anycast: every AS
 // holds an Adj-RIB-In per session plus its locally originated seeds, selects
-// with the exact same (local-pref class, path length, ingress distance,
-// hash tie-break) comparator and attribute arithmetic as the solver, and
+// with the solver's own comparator and attribute arithmetic (bgp/rules.hpp:
+// local-pref class, path length, ingress distance, hash tie-break), and
 // exports under the same Gao-Rexford policy (everything to customers,
 // customer routes only to peers and providers). Updates travel as
 // timestamped events through a (time, seq) priority queue with per-AS
@@ -12,10 +12,10 @@
 // *transient* the instantaneous solver cannot see: blackhole windows,
 // forwarding loops, interim catchment flips and the time to reconverge.
 //
-// Because selection and export match the solver and Gao-Rexford policies
-// have a unique stable solution, the quiesced state equals the solver's
-// output for the same topology — tests/converge/test_differential.cpp holds
-// that equivalence over every scenario in configs/. Everything is integer
+// Because selection is the solver's, export matches it and Gao-Rexford
+// policies have a unique stable solution, the quiesced state equals the
+// solver's output for the same topology — tests/converge/test_differential.cpp
+// holds that equivalence over every scenario in configs/. Everything is integer
 // virtual time and hash-derived jitter: byte-identical across runs and
 // thread counts (each region's sim is single-threaded; regions fan out).
 #pragma once
@@ -26,22 +26,14 @@
 #include <span>
 #include <vector>
 
+#include "ranycast/bgp/delta_solver.hpp"
 #include "ranycast/bgp/path_arena.hpp"
 #include "ranycast/bgp/route.hpp"
+#include "ranycast/bgp/rules.hpp"
 #include "ranycast/converge/config.hpp"
 #include "ranycast/topo/graph.hpp"
 
 namespace ranycast::converge {
-
-/// An announcement-state change feeding one convergence step: a site
-/// origination appearing or disappearing (withdraw/restore faults). Link
-/// state changes are not passed explicitly — run_step() diffs its session
-/// overlay against the graph's current edge state and synthesizes the
-/// session resets itself.
-struct OriginDelta {
-  bool announce{true};
-  bgp::OriginAttachment origin{};
-};
 
 /// A scheduled mid-run link flip (session reset at a virtual time), used to
 /// build adversarial MRAI-race fixtures where the topology flaps faster
@@ -117,47 +109,40 @@ class PrefixSim {
 
   /// One transient step from the current quiesced state: synchronize the
   /// session overlay with the graph (synthesizing session resets for every
-  /// adjacency whose up/down state changed since the last run), apply the
-  /// origin deltas at t=0 and any scheduled flips at their times, then run
-  /// to quiescence (or the oscillation budget, or cancellation — a
-  /// supervisor's installed cancel flag is polled and exec::CancelledError
-  /// thrown, which guard::run_sweep converts into a truncated run).
-  RegionTransient run_step(std::span<const OriginDelta> origin_deltas,
+  /// adjacency whose up/down state changed since the last run — link
+  /// changes are not passed explicitly), apply the origin changes
+  /// (withdraw/restore faults) at t=0 and any scheduled flips at their
+  /// times, then run to quiescence (or the oscillation budget, or
+  /// cancellation — a supervisor's installed cancel flag is polled and
+  /// exec::CancelledError thrown, which guard::run_sweep converts into a
+  /// truncated run).
+  RegionTransient run_step(std::span<const bgp::OriginChange> origin_changes,
                            std::span<const TimedLinkFlip> schedule = {});
 
   std::size_t node_count() const noexcept { return nodes_.size(); }
   bool has_route(std::size_t node) const noexcept;
   std::optional<SiteId> catchment(std::size_t node) const noexcept;
 
-  /// Selected-route attributes for equivalence checks against the solver.
-  struct RouteView {
-    bool valid{false};
-    SiteId site{kInvalidSite};
-    bgp::RouteClass cls{bgp::RouteClass::Provider};
-    std::uint16_t len{0};
-    double ingress_km{0.0};
-    std::uint64_t tiebreak{0};
-  };
-  RouteView route_view(std::size_t node) const noexcept;
+  /// Selected-route attributes for equivalence checks against the solver;
+  /// nullopt when the AS has no route.
+  std::optional<bgp::rules::Attrs> route_view(std::size_t node) const noexcept;
 
   /// Per-AS timelines of the most recent run, indexed by dense node index.
   std::span<const NodeTimeline> timelines() const noexcept { return timelines_; }
 
  private:
-  /// One route candidate in the frame of the node holding it; attribute
-  /// arithmetic mirrors the solver's CompactRoute exactly.
+  /// One route candidate in the frame of the node holding it: its arena
+  /// path and the attributes bgp::rules computes and compares. An invalid
+  /// candidate is always value-initialized, so two candidates carry the
+  /// same route exactly when their `attrs` are equal. 40 bytes: one rides
+  /// in every queued Update.
   struct Cand {
     std::uint32_t path{bgp::PathArena::kNone};
-    std::uint16_t len{0};
-    CityId last_city{kInvalidCity};
-    SiteId origin_site{kInvalidSite};
-    bgp::RouteClass cls{bgp::RouteClass::Provider};
-    double ingress_km{0.0};
-    std::uint64_t hash_base{0};
-    std::uint64_t tiebreak{0};
+    bgp::rules::Attrs attrs{};
 
     bool valid() const noexcept { return path != bgp::PathArena::kNone; }
   };
+  static_assert(sizeof(Cand) == 40);
 
   /// Per-session state at one endpoint of an adjacency.
   struct AdjState {
@@ -202,11 +187,6 @@ class PrefixSim {
     }
   };
 
-  bool better(const Cand& a, const Cand& b) const noexcept;
-  static bool same_route(const Cand& a, const Cand& b) noexcept;
-  Cand seed_cand(const bgp::OriginAttachment& o, const topo::AsNode& holder);
-  Cand extend_into(const Cand& r, Asn via, const topo::Edge& edge,
-                   const topo::AsNode& receiver);
   bool path_contains(std::uint32_t path, Asn asn) const noexcept;
   std::uint64_t mrai_us(std::size_t node, std::size_t edge) const noexcept;
   std::uint64_t link_delay_us(std::size_t node, std::size_t edge) const noexcept;
@@ -222,7 +202,7 @@ class PrefixSim {
   void record_change(std::size_t node, const Cand& next, std::uint64_t now);
   void apply_link_transition(std::size_t node, std::size_t edge, bool up,
                              std::uint64_t now);
-  void apply_origin_delta(const OriginDelta& d);
+  void apply_origin_change(const bgp::OriginChange& change);
   void sync_overlay_with_graph();
   void reset_epoch_controls();
   void compact_arena();

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "ranycast/analysis/stats.hpp"
-#include "ranycast/core/rng.hpp"
 #include "ranycast/exec/pool.hpp"
 #include "ranycast/obs/journal.hpp"
 #include "ranycast/obs/metrics.hpp"
@@ -15,11 +14,6 @@ namespace {
 /// Convergence and outage windows run milliseconds to minutes.
 constexpr double kTransientMsBounds[] = {10,  20,  50,  100, 200,   500,  1e3,
                                          2e3, 5e3, 1e4, 2e4, 5e4, 1e5};
-
-bool same_origin(const bgp::OriginAttachment& a, const bgp::OriginAttachment& b) {
-  return a.site == b.site && a.site_city == b.site_city && a.neighbor == b.neighbor &&
-         a.neighbor_rel == b.neighbor_rel && a.onsite_router == b.onsite_router;
-}
 
 }  // namespace
 
@@ -33,24 +27,13 @@ std::vector<std::vector<bgp::OriginAttachment>> origins_by_region(
   return out;
 }
 
-std::vector<std::vector<OriginDelta>> diff_origins(
+std::vector<std::vector<bgp::OriginChange>> diff_origins(
     const std::vector<std::vector<bgp::OriginAttachment>>& before,
     const std::vector<std::vector<bgp::OriginAttachment>>& after) {
-  std::vector<std::vector<OriginDelta>> out(before.size());
+  const std::vector<bgp::OriginAttachment> none;
+  std::vector<std::vector<bgp::OriginChange>> out(before.size());
   for (std::size_t r = 0; r < before.size(); ++r) {
-    const auto& b = before[r];
-    const auto& a = r < after.size() ? after[r] : std::vector<bgp::OriginAttachment>{};
-    const auto in = [](const std::vector<bgp::OriginAttachment>& set,
-                       const bgp::OriginAttachment& o) {
-      return std::any_of(set.begin(), set.end(),
-                         [&](const bgp::OriginAttachment& x) { return same_origin(x, o); });
-    };
-    for (const bgp::OriginAttachment& o : b) {
-      if (!in(a, o)) out[r].push_back(OriginDelta{false, o});
-    }
-    for (const bgp::OriginAttachment& o : a) {
-      if (!in(b, o)) out[r].push_back(OriginDelta{true, o});
-    }
+    out[r] = bgp::diff_origin_changes(before[r], r < after.size() ? after[r] : none);
   }
   return out;
 }
@@ -60,10 +43,10 @@ Plane::Plane(const lab::Lab& lab, const lab::DeploymentHandle& handle, const Con
   const cdn::Deployment& dep = handle_.deployment;
   sims_.reserve(dep.regions().size());
   for (std::size_t r = 0; r < dep.regions().size(); ++r) {
-    // Same per-region tie-break salt as Lab's steady-state solve, so the
-    // quiesced attributes are bit-equal to the solver's.
-    sims_.push_back(std::make_unique<PrefixSim>(
-        lab_.world().graph, dep.asn(), hash_combine(lab_.config().seed, r), cfg_));
+    // The steady-state solve's tie-break seed, so the quiesced attributes
+    // are bit-equal to the solver's.
+    sims_.push_back(std::make_unique<PrefixSim>(lab_.world().graph, dep.asn(),
+                                                lab_.tiebreak_seed(r), cfg_));
   }
 }
 
@@ -76,7 +59,7 @@ void Plane::rebuild() {
 }
 
 StepTransient Plane::step(std::size_t index, std::string event,
-                          std::span<const std::vector<OriginDelta>> deltas_by_region,
+                          std::span<const std::vector<bgp::OriginChange>> changes_by_region,
                           std::span<const ProbeRef> probes) {
   StepTransient out;
   out.index = index;
@@ -85,9 +68,9 @@ StepTransient Plane::step(std::size_t index, std::string event,
 
   const topo::Graph& graph = lab_.world().graph;
   exec::ThreadPool::global().parallel_for(sims_.size(), [&](std::size_t r) {
-    static const std::vector<OriginDelta> kEmpty;
-    const auto& deltas = r < deltas_by_region.size() ? deltas_by_region[r] : kEmpty;
-    RegionTransient rt = sims_[r]->run_step(deltas);
+    static const std::vector<bgp::OriginChange> kEmpty;
+    const auto& changes = r < changes_by_region.size() ? changes_by_region[r] : kEmpty;
+    RegionTransient rt = sims_[r]->run_step(changes);
     // Differential verdict: the quiesced catchment must equal the solver's
     // for the same (already re-solved) topology.
     const bgp::RoutingOutcome& steady = handle_.outcomes[r];

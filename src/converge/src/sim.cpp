@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 
 #include "ranycast/core/rng.hpp"
 #include "ranycast/exec/pool.hpp"
@@ -49,27 +48,6 @@ std::vector<std::uint32_t> forwarding_cycle(std::span<const std::int32_t> next_h
 
 }  // namespace detail
 
-namespace {
-
-/// Nearest interconnection point to the route's current ingress city — must
-/// mirror the solver's egress_city exactly (same first-minimal scan order)
-/// for quiesced attributes to be bit-equal to the steady-state solve.
-CityId egress_city(const geo::Gazetteer& gaz, CityId from, const topo::Edge& edge) {
-  if (edge.cities.size() == 1) return edge.cities.front();
-  CityId best = edge.cities.front();
-  double best_km = std::numeric_limits<double>::infinity();
-  for (CityId c : edge.cities) {
-    const double d = gaz.distance(from, c).km;
-    if (d < best_km) {
-      best_km = d;
-      best = c;
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
 PrefixSim::PrefixSim(const topo::Graph& graph, Asn cdn_asn, std::uint64_t seed,
                      const Config& cfg)
     : graph_(graph), cdn_asn_(cdn_asn), seed_(seed), cfg_(cfg) {
@@ -107,54 +85,6 @@ PrefixSim::PrefixSim(const topo::Graph& graph, Asn cdn_asn, std::uint64_t seed,
       mirror_[i][j] = {static_cast<std::uint32_t>(nidx.value_or(0)), redge};
     }
   }
-}
-
-// ---- route arithmetic (mirrors bgp::solve_anycast) --------------------------
-
-bool PrefixSim::better(const Cand& a, const Cand& b) const noexcept {
-  if (a.cls != b.cls) return static_cast<int>(a.cls) > static_cast<int>(b.cls);
-  if (a.len != b.len) return a.len < b.len;
-  if (a.ingress_km != b.ingress_km) return a.ingress_km < b.ingress_km;
-  return a.tiebreak < b.tiebreak;
-}
-
-bool PrefixSim::same_route(const Cand& a, const Cand& b) noexcept {
-  if (a.valid() != b.valid()) return false;
-  if (!a.valid()) return true;
-  return a.origin_site == b.origin_site && a.cls == b.cls && a.len == b.len &&
-         a.last_city == b.last_city && a.ingress_km == b.ingress_km &&
-         a.hash_base == b.hash_base && a.tiebreak == b.tiebreak;
-}
-
-PrefixSim::Cand PrefixSim::seed_cand(const bgp::OriginAttachment& o,
-                                     const topo::AsNode& holder) {
-  const auto& gaz = geo::Gazetteer::world();
-  Cand r;
-  r.origin_site = o.site;
-  r.cls = bgp::class_of(o.neighbor_rel);
-  r.path = arena_.append(bgp::PathArena::kNone, cdn_asn_, o.site_city);
-  r.len = 1;
-  r.last_city = o.site_city;
-  r.ingress_km = gaz.distance(holder.home_city, o.site_city).km;
-  r.hash_base = hash_combine(hash_combine(seed_, value(o.site_city)), value(cdn_asn_));
-  r.tiebreak = hash_combine(r.hash_base, value(holder.asn));
-  return r;
-}
-
-PrefixSim::Cand PrefixSim::extend_into(const Cand& r, Asn via, const topo::Edge& edge,
-                                       const topo::AsNode& receiver) {
-  const auto& gaz = geo::Gazetteer::world();
-  const CityId egress = egress_city(gaz, r.last_city, edge);
-  Cand out;
-  out.origin_site = r.origin_site;
-  out.cls = bgp::class_of(edge.rel);  // classified by the receiver's side of the session
-  out.path = arena_.append(r.path, via, egress);
-  out.len = static_cast<std::uint16_t>(r.len + 1);
-  out.last_city = egress;
-  out.ingress_km = gaz.distance(receiver.home_city, egress).km;
-  out.hash_base = hash_combine(r.hash_base, value(via));
-  out.tiebreak = hash_combine(out.hash_base, value(receiver.asn));
-  return out;
 }
 
 bool PrefixSim::path_contains(std::uint32_t path, Asn asn) const noexcept {
@@ -210,7 +140,7 @@ PrefixSim::Cand PrefixSim::eligible_export(std::size_t node, std::size_t edge) c
   const topo::Edge& e = graph_.nodes()[node].edges[edge];
   // Gao-Rexford export: everything to customers; only customer routes to
   // peers and providers (e.rel is the neighbor's role from our perspective).
-  if (e.rel != topo::Rel::Customer && b.cls != bgp::RouteClass::Customer) return {};
+  if (e.rel != topo::Rel::Customer && b.attrs.cls != bgp::RouteClass::Customer) return {};
   // Sender-side AS-path loop check: the receiver would reject it anyway;
   // suppressing here halves the message volume and implicitly withdraws a
   // previously advertised route that now points back through the receiver.
@@ -223,7 +153,7 @@ void PrefixSim::fire_send(std::size_t node, std::size_t edge, std::uint64_t now)
   a.pending = false;
   if (!a.up) return;  // session died between scheduling and firing
   const Cand content = eligible_export(node, edge);
-  if (same_route(content, a.sent)) return;  // nothing new to say
+  if (content.attrs == a.sent.attrs) return;  // nothing new to say
   a.sent = content;
   a.next_ok_us = now + mrai_us(node, edge);
   const auto [rn, re] = mirror_[node][edge];
@@ -249,10 +179,13 @@ void PrefixSim::accept_update(const Event& e) {
   if (!a.up || e.gen != a.gen) return;  // stale: rode a session that reset
   Cand next{};
   if (e.announce) {
-    next = extend_into(e.route, e.via, graph_.nodes()[e.node].edges[e.edge],
-                       graph_.nodes()[e.node]);
+    // Classed by the receiver's side of the session.
+    const topo::Edge& edge = graph_.nodes()[e.node].edges[e.edge];
+    next.attrs = bgp::rules::extend(geo::Gazetteer::world(), e.route.attrs, e.via, edge,
+                                    graph_.nodes()[e.node], bgp::class_of(edge.rel));
+    next.path = arena_.append(e.route.path, e.via, next.attrs.last_city);
   }
-  if (same_route(a.in, next)) return;
+  if (next.attrs == a.in.attrs) return;
   if (cfg_.damping.enabled && a.in.valid()) bump_penalty(e.node, e.edge, e.time);
   a.in = next;
   reselect(e.node, e.time);  // reselect skips suppressed sessions
@@ -322,7 +255,7 @@ void PrefixSim::record_change(std::size_t node, const Cand& next, std::uint64_t 
   ++t.rib_changes;
   const bool was = old.valid();
   const bool is = next.valid();
-  if (was && is && old.origin_site != next.origin_site) ++t.site_flips;
+  if (was && is && old.attrs.site != next.attrs.site) ++t.site_flips;
   if (was && !is && !t.dark) {
     t.dark = true;
     t.dark_since_us = now;
@@ -338,7 +271,7 @@ void PrefixSim::reselect(std::size_t node, std::uint64_t now) {
   Cand best{};
   std::int32_t hop = -1;
   for (const auto& [origin, cand] : n.seeds) {
-    if (!best.valid() || better(cand, best)) {
+    if (!best.valid() || bgp::rules::better(cand.attrs, best.attrs)) {
       best = cand;
       hop = -2;
     }
@@ -346,12 +279,12 @@ void PrefixSim::reselect(std::size_t node, std::uint64_t now) {
   for (std::size_t j = 0; j < n.adj.size(); ++j) {
     const AdjState& a = n.adj[j];
     if (!a.in.valid() || a.suppressed) continue;
-    if (!best.valid() || better(a.in, best)) {
+    if (!best.valid() || bgp::rules::better(a.in.attrs, best.attrs)) {
       best = a.in;
       hop = static_cast<std::int32_t>(mirror_[node][j].first);
     }
   }
-  if (same_route(best, n.best)) return;
+  if (best.attrs == n.best.attrs) return;
 
   record_change(node, best, now);
   n.best = best;
@@ -371,7 +304,7 @@ void PrefixSim::reselect(std::size_t node, std::uint64_t now) {
     // Pre-filter: only wake the session if the export content would differ
     // from what it last carried. The Send recomputes at fire time, so
     // intermediate changes coalesce under the MRAI.
-    if (!same_route(eligible_export(node, j), a.sent)) schedule_send(node, j, now);
+    if (eligible_export(node, j).attrs != a.sent.attrs) schedule_send(node, j, now);
   }
 }
 
@@ -395,24 +328,20 @@ void PrefixSim::apply_link_transition(std::size_t node, std::size_t edge, bool u
   }
 }
 
-void PrefixSim::apply_origin_delta(const OriginDelta& d) {
-  // Provider-relationship originations never enter the solver's candidate
-  // set (stage 1 takes customers, stage 2 peers); skip them here too so the
-  // quiesced state matches.
-  if (d.origin.neighbor_rel == topo::Rel::Provider) return;
-  const auto idx = graph_.index_of(d.origin.neighbor);
+void PrefixSim::apply_origin_change(const bgp::OriginChange& change) {
+  const bgp::OriginAttachment& o = change.origin;
+  if (!bgp::rules::seeds_route(o)) return;
+  const auto idx = graph_.index_of(o.neighbor);
   if (!idx) return;
   NodeState& n = nodes_[*idx];
-  if (d.announce) {
-    n.seeds.emplace_back(d.origin, seed_cand(d.origin, graph_.nodes()[*idx]));
+  if (change.announce) {
+    const Cand seeded{arena_.append(bgp::PathArena::kNone, cdn_asn_, o.site_city),
+                      bgp::rules::seed(geo::Gazetteer::world(), seed_, cdn_asn_, o,
+                                       graph_.nodes()[*idx])};
+    n.seeds.emplace_back(o, seeded);
   } else {
-    const auto match = [&](const auto& s) {
-      const bgp::OriginAttachment& o = s.first;
-      return o.site == d.origin.site && o.site_city == d.origin.site_city &&
-             o.neighbor == d.origin.neighbor && o.neighbor_rel == d.origin.neighbor_rel &&
-             o.onsite_router == d.origin.onsite_router;
-    };
-    const auto it = std::find_if(n.seeds.begin(), n.seeds.end(), match);
+    const auto it = std::find_if(n.seeds.begin(), n.seeds.end(),
+                                 [&](const auto& s) { return s.first == o; });
     if (it == n.seeds.end()) return;
     n.seeds.erase(it);
   }
@@ -587,12 +516,12 @@ RegionTransient PrefixSim::cold_start(std::span<const bgp::OriginAttachment> ori
   rebuild_pending_ = false;
   schedule_.clear();
   for (const bgp::OriginAttachment& o : origins) {
-    apply_origin_delta(OriginDelta{true, o});
+    apply_origin_change(bgp::OriginChange{true, o});
   }
   return drain();
 }
 
-RegionTransient PrefixSim::run_step(std::span<const OriginDelta> origin_deltas,
+RegionTransient PrefixSim::run_step(std::span<const bgp::OriginChange> origin_changes,
                                     std::span<const TimedLinkFlip> schedule) {
   compact_arena();
   timelines_.assign(nodes_.size(), NodeTimeline{});
@@ -623,7 +552,7 @@ RegionTransient PrefixSim::run_step(std::span<const OriginDelta> origin_deltas,
     push(std::move(ev));
   }
   sync_overlay_with_graph();
-  for (const OriginDelta& d : origin_deltas) apply_origin_delta(d);
+  for (const bgp::OriginChange& change : origin_changes) apply_origin_change(change);
   if (rebuild) {
     // reselect alone is not enough to restart the flood: a node whose best
     // is unchanged (an origin holder, say) early-outs without waking its
@@ -647,20 +576,12 @@ bool PrefixSim::has_route(std::size_t node) const noexcept {
 
 std::optional<SiteId> PrefixSim::catchment(std::size_t node) const noexcept {
   if (!nodes_[node].best.valid()) return std::nullopt;
-  return nodes_[node].best.origin_site;
+  return nodes_[node].best.attrs.site;
 }
 
-PrefixSim::RouteView PrefixSim::route_view(std::size_t node) const noexcept {
-  const Cand& b = nodes_[node].best;
-  RouteView v;
-  v.valid = b.valid();
-  if (!v.valid) return v;
-  v.site = b.origin_site;
-  v.cls = b.cls;
-  v.len = b.len;
-  v.ingress_km = b.ingress_km;
-  v.tiebreak = b.tiebreak;
-  return v;
+std::optional<bgp::rules::Attrs> PrefixSim::route_view(std::size_t node) const noexcept {
+  if (!nodes_[node].best.valid()) return std::nullopt;
+  return nodes_[node].best.attrs;
 }
 
 }  // namespace ranycast::converge

@@ -54,8 +54,8 @@ struct JournalFile {
 
 /// How one journal line classified during parsing.
 enum class LineStatus {
-  Event,      ///< parsed (and CRC-validated when tagged)
-  Corrupt,    ///< carries a CRC tag that does not match the bytes
+  Event,      ///< parsed and CRC-validated
+  Corrupt,    ///< parseable, but its CRC tag is missing or does not match
   Malformed,  ///< not parseable JSON (e.g. a kill-cut or mid-append tail)
 };
 
@@ -67,10 +67,9 @@ LineStatus parse_journal_line(const std::string& line, JournalEvent& out);
 
 /// Reads an NDJSON journal. Damaged lines are skipped and counted, not
 /// fatal — the journal of a killed run must stay readable up to the last
-/// completed step. Lines carrying the writer's `,"crc":"xxxxxxxx"}` tag are
-/// CRC-checked first: a mismatch (mid-file bit rot, spliced garbage) counts
-/// as corrupt_lines even when the damaged line still parses as JSON.
-/// Tag-less parseable lines are legacy journals and accepted. Fails only
+/// completed step. Every line must carry the writer's `,"crc":"xxxxxxxx"}`
+/// tag: a mismatch (mid-file bit rot, spliced garbage) or a missing tag on
+/// a line that still parses as JSON counts as corrupt_lines. Fails only
 /// when the file cannot be read at all.
 core::Expected<JournalFile, std::string> load_journal(const std::string& path);
 

@@ -36,12 +36,17 @@ CrcCheck check_line_crc(const std::string& line) {
 LineStatus parse_journal_line(const std::string& line, JournalEvent& out) {
   // The CRC tag is checked before parsing: flipped bytes can still yield
   // valid JSON with a silently wrong value, and only the checksum knows.
-  if (check_line_crc(line) == CrcCheck::Mismatch) return LineStatus::Corrupt;
+  const CrcCheck crc = check_line_crc(line);
+  if (crc == CrcCheck::Mismatch) return LineStatus::Corrupt;
   auto parsed = io::parse_json(line);
   if (std::holds_alternative<io::JsonParseError>(parsed) ||
       !std::get<io::Json>(parsed).is_object()) {
     return LineStatus::Malformed;
   }
+  // Every writer tags its lines, so a whole line without a valid tag
+  // cannot be verified: its tag was damaged, or the line was not written
+  // by obs::Journal.
+  if (crc == CrcCheck::NoTag) return LineStatus::Corrupt;
   out.fields = std::move(std::get<io::Json>(parsed));
   out.type = out.fields.string_or("type", "");
   out.ts_ns = static_cast<std::uint64_t>(out.fields.number_or("ts_ns", 0.0));

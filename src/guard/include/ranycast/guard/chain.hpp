@@ -25,11 +25,10 @@
 // a DIFFERENT experiment) aborts the scan: that file is evidence of
 // operator error, not bit rot, and is never destroyed. If the manifest
 // itself is unreadable the chain is rebuilt from a directory scan of
-// "<path>.g*" files.
-//
-// A legacy single-file checkpoint at the policy path (kind != ChainManifest)
-// is still resumable: it is read directly and reported with legacy = true;
-// the first chain write after that replaces it with a manifest.
+// "<path>.g*" files. Any other envelope at the policy path (a bare
+// checkpoint rather than a manifest) counts as an unreadable manifest: the
+// scan recovers the generations beside it, and with none the resume fails
+// Corrupt.
 #pragma once
 
 #include <cstdint>
@@ -53,17 +52,15 @@ struct ChainEntry {
 /// What chain.read() recovered and how hard it had to work for it.
 struct RecoveredCheckpoint {
   std::vector<std::uint8_t> payload;
-  std::uint64_t generation{0};  ///< 0 for a legacy single-file checkpoint
+  std::uint64_t generation{0};
   std::size_t fallbacks{0};     ///< generations stepped over to find a valid one
   std::size_t quarantined{0};   ///< corrupt generations renamed aside
-  bool legacy{false};           ///< true when read from a pre-chain single file
   bool manifest_rebuilt{false};  ///< true when the manifest was unreadable and
                                  ///< the chain came from a directory scan
 };
 
 /// Offline verification result for `ranycast-flight verify`.
 struct ChainVerifyReport {
-  bool legacy{false};
   std::size_t generations{0};   ///< entries examined
   std::size_t valid{0};         ///< entries whose size, CRC and envelope check out
   std::size_t quarantined{0};   ///< "*.quarantined" casualties found next to the chain
@@ -105,13 +102,13 @@ class CheckpointChain {
   std::vector<ChainEntry> entries_;  ///< newest first, committed state only
 };
 
-/// Whether anything resumable exists at `path`: a manifest, a legacy
-/// single-file checkpoint, or orphaned generation files.
+/// Whether anything resumable may exist at `path`: a file at the manifest
+/// path, or orphaned generation files.
 bool chain_exists(const std::string& path) noexcept;
 
-/// Offline validation of a chain (or legacy checkpoint) at `path`, without
-/// knowing the expected kind or fingerprint. Used by `ranycast-flight
-/// verify`; never mutates or quarantines anything.
+/// Offline validation of a chain at `path`, without knowing the expected
+/// kind or fingerprint. Used by `ranycast-flight verify`; never mutates or
+/// quarantines anything.
 core::Expected<ChainVerifyReport, GuardError> chain_verify(const std::string& path);
 
 }  // namespace ranycast::guard

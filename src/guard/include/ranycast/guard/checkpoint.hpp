@@ -146,8 +146,8 @@ core::Expected<std::monostate, GuardError> write_checkpoint(
 /// Read and validate the envelope (Io / TransientIo on read failure,
 /// Corrupt on short/garbled file or CRC mismatch, VersionMismatch on a
 /// foreign format version) but accept any kind and fingerprint. This is
-/// how CheckpointChain tells a legacy single-file checkpoint from a chain
-/// manifest, and how `ranycast-flight verify` inspects without a run.
+/// how CheckpointChain tells its manifest from any other envelope at the
+/// policy path, and how `ranycast-flight verify` inspects without a run.
 core::Expected<InspectedCheckpoint, GuardError> read_checkpoint_unchecked(
     const std::string& path);
 

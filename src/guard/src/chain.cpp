@@ -140,9 +140,6 @@ void CheckpointChain::prime_for_write() {
         from_manifest = true;
       }
     }
-    // A legacy single-file checkpoint (kind != ChainManifest) is left in
-    // place until the first manifest write replaces it; it carries no
-    // generation number so the chain starts at 1 regardless.
   }
   if (!from_manifest) {
     entries_ = scan_generations(path_);
@@ -223,16 +220,9 @@ core::Expected<RecoveredCheckpoint, GuardError> CheckpointChain::read(
 
   if (vfs::exists(path_)) {
     auto inspected = read_checkpoint_unchecked(path_);
-    if (inspected) {
-      if (inspected->info.kind != CheckpointKind::ChainManifest) {
-        // Legacy single-file checkpoint: validate fully and return it.
-        auto payload = read_checkpoint(path_, expected_kind, expected_fingerprint);
-        if (!payload) return core::unexpected(std::move(payload).error());
-        RecoveredCheckpoint out;
-        out.payload = std::move(*payload);
-        out.legacy = true;
-        return out;
-      }
+    // Any other envelope kind at the manifest path is read like an
+    // undecodable manifest.
+    if (inspected && inspected->info.kind == CheckpointKind::ChainManifest) {
       if (inspected->info.fingerprint != expected_fingerprint) {
         return core::unexpected(make_error(
             GuardErrorKind::FingerprintMismatch, path_,
@@ -269,7 +259,7 @@ core::Expected<RecoveredCheckpoint, GuardError> CheckpointChain::read(
 
   if (entries.empty()) {
     return core::unexpected(make_error(GuardErrorKind::Corrupt, path_,
-                                       "manifest exists but lists no generations"));
+                                       "no usable manifest and no generation files"));
   }
 
   RecoveredCheckpoint out;
@@ -351,10 +341,9 @@ core::Expected<ChainVerifyReport, GuardError> chain_verify(const std::string& pa
       report.problems.push_back(path + ": manifest: " + inspected.error().message);
       entries = scan_generations(path);
     } else if (inspected->info.kind != CheckpointKind::ChainManifest) {
-      report.legacy = true;
-      report.generations = 1;
-      report.valid = 1;
-      return report;
+      report.problems.push_back(path + ": not a chain manifest (a " +
+                                std::string(to_string(inspected->info.kind)) + " checkpoint)");
+      entries = scan_generations(path);
     } else {
       std::uint32_t keep = 0;
       if (parse_manifest(path, std::span<const std::uint8_t>(inspected->payload), &keep,

@@ -58,8 +58,7 @@ core::Expected<SweepResult, GuardError> run_sweep(std::size_t total,
                         F::str("checkpoint", policy.path),
                         F::u64_field("generation", recovered->generation),
                         F::u64_field("fallbacks", recovered->fallbacks),
-                        F::u64_field("quarantined", recovered->quarantined),
-                        F::bool_field("legacy", recovered->legacy)},
+                        F::u64_field("quarantined", recovered->quarantined)},
                        /*durable=*/true);
   }
 

@@ -22,6 +22,7 @@
 #include "ranycast/bgp/solver.hpp"
 #include "ranycast/cdn/builder.hpp"
 #include "ranycast/cdn/deployment.hpp"
+#include "ranycast/core/rng.hpp"
 #include "ranycast/dns/geo_database.hpp"
 #include "ranycast/topo/generator.hpp"
 #include "ranycast/topo/ip_registry.hpp"
@@ -181,6 +182,13 @@ class Lab {
   bgp::RoutingOutcome solve_origins(Asn cdn_asn,
                                     std::span<const bgp::OriginAttachment> origins,
                                     std::uint64_t salt = 0) const;
+
+  /// The solver tie-break seed for `salt`: the lab seed combined with it.
+  /// Region r of a registered deployment is solved with salt r, and the
+  /// convergence plane seeds region r's simulator the same way.
+  std::uint64_t tiebreak_seed(std::uint64_t salt) const noexcept {
+    return hash_combine(config_.seed, salt);
+  }
 
   // ---- measurement primitives ----
 

@@ -101,8 +101,7 @@ std::optional<bgp::RoutingOutcome> prime_if_needed(const Lab& laboratory,
                                                    const cdn::Deployment& dep, std::size_t r,
                                                    bgp::DeltaStats* stats = nullptr) {
   if (solver.primed(r)) return std::nullopt;
-  return solver.prime(r, dep.origins_for_region(r), hash_combine(laboratory.config().seed, r),
-                      stats);
+  return solver.prime(r, dep.origins_for_region(r), laboratory.tiebreak_seed(r), stats);
 }
 
 }  // namespace
@@ -237,8 +236,7 @@ const DeploymentHandle& Lab::add_deployment_derived(const DeploymentHandle& base
 bgp::RoutingOutcome Lab::solve_origins(Asn cdn_asn,
                                        std::span<const bgp::OriginAttachment> origins,
                                        std::uint64_t salt) const {
-  return bgp::solve_anycast(world_->graph, cdn_asn, origins,
-                            hash_combine(config_.seed, salt));
+  return bgp::solve_anycast(world_->graph, cdn_asn, origins, tiebreak_seed(salt));
 }
 
 std::optional<Lab::AddressInfo> Lab::locate_address(Ipv4Addr address) const {

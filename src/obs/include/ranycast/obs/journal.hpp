@@ -14,10 +14,10 @@
 //
 // Every line ends with a self-checking tag `,"crc":"xxxxxxxx"}` — a CRC-32
 // (as 8 lowercase hex digits) over all preceding bytes of the line. Readers
-// (ranycast::flight) recompute it to tell three failure modes apart:
-// mid-file bit rot (crc mismatch → the line is skipped and counted), a
-// kill-cut final line (no tag, unparseable → truncated tail), and legacy
-// journals written before the tag existed (no tag, parseable → accepted).
+// (ranycast::flight) recompute it to tell two failure modes apart: damage
+// (crc mismatch, or a parseable line without a valid tag → the line is
+// skipped and counted as corrupt) and a kill-cut final line (unparseable →
+// truncated tail).
 //
 // The journal deliberately lives in obs (below ranycast::io): it writes
 // JSON with its own tiny emitter and parses nothing. Reading journals back

@@ -6,6 +6,7 @@
 // foreign checkpoint is rejected, never silently replayed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -17,6 +18,7 @@
 #include "ranycast/chaos/scenario.hpp"
 #include "ranycast/exec/pool.hpp"
 #include "ranycast/guard/chain.hpp"
+#include "ranycast/guard/checkpoint.hpp"
 
 namespace ranycast::chaos {
 namespace {
@@ -334,6 +336,76 @@ TEST(GuardResume, EveryGenerationCorruptIsRejected) {
   ASSERT_FALSE(outcome.has_value());
   EXPECT_NE(outcome.error().find("damaged"), std::string::npos) << outcome.error();
   remove_chain_files(ck);
+}
+
+/// Turn the traffic or the transient plane on: its records join the
+/// checkpoint payload as its last section.
+void enable_plane(Engine& engine, bool traffic) {
+  if (traffic) {
+    engine.enable_traffic(traffic::TrafficConfig{});
+  } else {
+    engine.enable_transient(converge::Config{});
+  }
+}
+
+/// A guarded run's newest generation, re-written as a new generation whose
+/// plane record claims 2^62 sites (traffic) or regions (transient): the
+/// resume must fail the decode instead of throwing out of the loader.
+void expect_huge_record_count_rejected(const std::string& tag, bool traffic) {
+  const std::string ck = checkpoint_path(tag);
+  remove_chain_files(ck);
+  {
+    auto laboratory = lab::Lab::create(tiny_config());
+    const auto& im6 = laboratory.add_deployment(cdn::catalog::imperva6());
+    Engine engine(laboratory, im6);
+    enable_plane(engine, traffic);
+    guard::Supervisor supervisor;
+    guard::CheckpointPolicy policy;
+    policy.path = ck;
+    policy.after_step = [&](std::size_t done, std::size_t) {
+      if (done == 1) supervisor.cancel();
+    };
+    ASSERT_TRUE(engine.run_guarded(cascade_plan(), supervisor, policy).has_value());
+  }
+  auto inspected = guard::read_checkpoint_unchecked(newest_generation(ck));
+  ASSERT_TRUE(inspected.has_value()) << inspected.error().to_string();
+  std::vector<std::uint8_t> payload = inspected->payload;
+  // The plane's record is the last one carrying the step's event string
+  // (u32 length + bytes); its site or region count follows that string.
+  guard::ByteWriter event;
+  event.str(describe(cascade_plan().events[0]));
+  const auto at =
+      std::find_end(payload.begin(), payload.end(), event.data().begin(), event.data().end());
+  ASSERT_NE(at, payload.end());
+  const auto count_at = at + static_cast<std::ptrdiff_t>(event.data().size());
+  ASSERT_GE(payload.end() - count_at, 8);
+  guard::ByteWriter huge;
+  huge.u64(std::uint64_t{1} << 62);
+  std::copy(huge.data().begin(), huge.data().end(), count_at);
+  guard::CheckpointChain chain(ck, guard::CheckpointPolicy{}.keep);
+  ASSERT_TRUE(
+      chain.write(inspected->info.kind, inspected->info.fingerprint, payload).has_value());
+
+  auto laboratory = lab::Lab::create(tiny_config());
+  const auto& im6 = laboratory.add_deployment(cdn::catalog::imperva6());
+  Engine engine(laboratory, im6);
+  enable_plane(engine, traffic);
+  guard::Supervisor supervisor;
+  guard::CheckpointPolicy policy;
+  policy.path = ck;
+  policy.resume = true;
+  auto outcome = engine.run_guarded(cascade_plan(), supervisor, policy);
+  ASSERT_FALSE(outcome.has_value());
+  EXPECT_NE(outcome.error().find("failed to decode"), std::string::npos) << outcome.error();
+  remove_chain_files(ck);
+}
+
+TEST(GuardResume, HugeTrafficSiteCountFailsTheDecode) {
+  expect_huge_record_count_rejected("huge_sites", /*traffic=*/true);
+}
+
+TEST(GuardResume, HugeTransientRegionCountFailsTheDecode) {
+  expect_huge_record_count_rejected("huge_regions", /*traffic=*/false);
 }
 
 TEST(GuardResume, CheckpointFromOtherSeedIsRejected) {

@@ -41,14 +41,14 @@ void expect_matches_solver(const Graph& g, const PrefixSim& sim,
   const auto nodes = g.nodes();
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const bgp::Route* steady = outcome.route_for(nodes[i].asn);
-    const auto view = sim.route_view(i);
-    ASSERT_EQ(view.valid, steady != nullptr) << "AS index " << i;
+    const std::optional<bgp::rules::Attrs> view = sim.route_view(i);
+    ASSERT_EQ(view.has_value(), steady != nullptr) << "AS index " << i;
     if (steady == nullptr) continue;
-    EXPECT_EQ(view.site, steady->origin_site) << "AS index " << i;
-    EXPECT_EQ(view.cls, steady->cls) << "AS index " << i;
-    EXPECT_EQ(view.len, steady->path_length()) << "AS index " << i;
-    EXPECT_EQ(view.ingress_km, steady->ingress_km) << "AS index " << i;
-    EXPECT_EQ(view.tiebreak, steady->tiebreak) << "AS index " << i;
+    EXPECT_EQ(view->site, steady->origin_site) << "AS index " << i;
+    EXPECT_EQ(view->cls, steady->cls) << "AS index " << i;
+    EXPECT_EQ(view->len, steady->path_length()) << "AS index " << i;
+    EXPECT_EQ(view->ingress_km, steady->ingress_km) << "AS index " << i;
+    EXPECT_EQ(view->tiebreak, steady->tiebreak) << "AS index " << i;
   }
 }
 
@@ -91,7 +91,7 @@ TEST(ConvergeSim, WithdrawalConvergesOntoResolvedState) {
   PrefixSim sim(f.g, kCdn, 7, test_config());
   sim.cold_start(f.origins);
 
-  const OriginDelta withdraw{false, f.origins[0]};
+  const bgp::OriginChange withdraw{false, f.origins[0]};
   const RegionTransient t = sim.run_step({&withdraw, 1});
   EXPECT_FALSE(t.oscillating);
   EXPECT_GT(t.nodes_changed, 0u);
@@ -123,7 +123,7 @@ TEST(ConvergeSim, SoleOriginWithdrawalBlackholesEveryClient) {
   sim.cold_start({&o, 1});
   ASSERT_TRUE(sim.has_route(*g.index_of(stub)));
 
-  const OriginDelta withdraw{false, o};
+  const bgp::OriginChange withdraw{false, o};
   const RegionTransient t = sim.run_step({&withdraw, 1});
   EXPECT_FALSE(t.oscillating);
   // No other origin exists: every previously routed AS goes dark and stays
@@ -145,7 +145,7 @@ TEST(ConvergeSim, AnnouncementRestoresService) {
   const std::vector<bgp::OriginAttachment> only_b{f.origins[1]};
   sim.cold_start(only_b);
 
-  const OriginDelta announce{true, f.origins[0]};
+  const bgp::OriginChange announce{true, f.origins[0]};
   const RegionTransient t = sim.run_step({&announce, 1});
   EXPECT_FALSE(t.oscillating);
   expect_matches_solver(f.g, sim, f.origins, 7);
@@ -190,8 +190,8 @@ TEST(ConvergeSim, RepeatedStepsStayByteStable) {
   PrefixSim sim(f.g, kCdn, 7, test_config());
   sim.cold_start(f.origins);
 
-  const OriginDelta withdraw{false, f.origins[0]};
-  const OriginDelta announce{true, f.origins[0]};
+  const bgp::OriginChange withdraw{false, f.origins[0]};
+  const bgp::OriginChange announce{true, f.origins[0]};
   const RegionTransient w1 = sim.run_step({&withdraw, 1});
   const RegionTransient a1 = sim.run_step({&announce, 1});
   for (int cycle = 0; cycle < 3; ++cycle) {

@@ -2,7 +2,7 @@
 // CRC-32 tag, and the flight reader must (a) count each mid-file corruption
 // exactly, (b) skip damaged lines instead of aborting, (c) treat a single
 // cut FINAL line as the benign signature of a kill — not as damage — and
-// (d) keep accepting legacy journals written before the tag existed.
+// (d) count a parseable line without a valid tag as corrupt.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -174,20 +174,24 @@ TEST(JournalCorruption, KillCutPlusMidFileDamageIsStillDamage) {
   EXPECT_TRUE(journal->damaged());  // the tail is excused, the rot is not
 }
 
-TEST(JournalCorruption, LegacyUntaggedLinesAreAccepted) {
-  const std::string path = scratch("legacy");
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << "{\"type\":\"run_manifest\",\"ts_ns\":1,\"tool\":\"old\"}\n";
-  out << "{\"type\":\"chaos_step\",\"ts_ns\":2,\"index\":0}\n";
-  out << "{\"type\":\"stopped\",\"ts_ns\":3,\"reason\":\"none\"}\n";
-  out.close();
+TEST(JournalCorruption, UntaggedParseableLinesAreCorrupt) {
+  const std::string path = scratch("untagged");
+  write_journal(path, 4);
+  auto lines = read_lines(path);
+  // Line 1 loses its whole tag; line 2's tag prefix loses one bit ("crc"
+  // becomes "csc"). Both still parse as JSON, but neither can be verified.
+  lines[1] = lines[1].substr(0, lines[1].size() - obs::kJournalCrcTagSize) + "}";
+  const std::size_t key_at = lines[2].rfind("\"crc\"");
+  ASSERT_NE(key_at, std::string::npos);
+  lines[2][key_at + 2] = static_cast<char>(lines[2][key_at + 2] ^ 0x01);
+  write_lines(path, lines);
 
   auto journal = load_journal(path);
   ASSERT_TRUE(journal.has_value()) << journal.error();
-  EXPECT_EQ(journal->events.size(), 3u);
-  EXPECT_EQ(journal->corrupt_lines, 0u);
+  EXPECT_EQ(journal->events.size(), 2u);
+  EXPECT_EQ(journal->corrupt_lines, 2u);
   EXPECT_EQ(journal->malformed_lines, 0u);
-  EXPECT_FALSE(journal->damaged());
+  EXPECT_TRUE(journal->damaged());
 }
 
 TEST(JournalCorruption, SummarizeReportsCorruptionCounts) {

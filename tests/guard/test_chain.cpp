@@ -1,7 +1,7 @@
 // Checkpoint lineage: rotation and pruning, self-healing reads (quarantine
-// + fallback), manifest rebuild from a directory scan, legacy single-file
-// adoption, the fingerprint hard-stop, offline verification, and the
-// transient-I/O retry loop feeding it all.
+// + fallback), manifest rebuild from a directory scan (also when a bare
+// checkpoint sits at the manifest path), the fingerprint hard-stop, offline
+// verification, and the transient-I/O retry loop feeding it all.
 #include "ranycast/guard/chain.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -80,7 +81,6 @@ TEST(CheckpointChain, ReadReturnsNewestGeneration) {
   EXPECT_EQ(got->generation, 4u);
   EXPECT_EQ(got->fallbacks, 0u);
   EXPECT_EQ(got->quarantined, 0u);
-  EXPECT_FALSE(got->legacy);
   EXPECT_FALSE(got->manifest_rebuilt);
 }
 
@@ -187,26 +187,51 @@ TEST(CheckpointChain, OrphanIsAdoptedByScanWhenManifestIsLost) {
   EXPECT_TRUE(got->manifest_rebuilt);
 }
 
-TEST(CheckpointChain, LegacySingleFileIsAdoptedThenReplaced) {
-  const std::string ck = chain_path("legacy");
-  // A pre-lineage run left one bare checkpoint at the policy path.
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(CheckpointChain, BareCheckpointAtPolicyPathReadsAsUnreadableManifest) {
+  // Beside generation files: the directory scan recovers the newest one,
+  // and verify lists the bare file as a problem.
+  const std::string ck = chain_path("bare_with_generations");
+  {
+    CheckpointChain chain(ck, 3);
+    for (std::uint8_t i = 1; i <= 2; ++i) {
+      ASSERT_TRUE(chain.write(kKind, kFp, payload_of(i)).has_value());
+    }
+  }
   ASSERT_TRUE(write_checkpoint(ck, kKind, kFp, payload_of(7)).has_value());
-  ASSERT_TRUE(chain_exists(ck));
-
-  CheckpointChain chain(ck, 3);
-  auto got = chain.read(kKind, kFp);
-  ASSERT_TRUE(got.has_value()) << got.error().to_string();
-  EXPECT_TRUE(got->legacy);
-  EXPECT_EQ(got->generation, 0u);
-  EXPECT_EQ(got->payload, payload_of(7));
-
-  // The first chained write replaces the bare file with a manifest.
-  ASSERT_TRUE(chain.write(kKind, kFp, payload_of(8)).has_value());
   CheckpointChain reader(ck, 3);
-  auto after = reader.read(kKind, kFp);
-  ASSERT_TRUE(after.has_value()) << after.error().to_string();
-  EXPECT_FALSE(after->legacy);
-  EXPECT_EQ(after->payload, payload_of(8));
+  auto got = reader.read(kKind, kFp);
+  ASSERT_TRUE(got.has_value()) << got.error().to_string();
+  EXPECT_EQ(got->payload, payload_of(2));
+  EXPECT_EQ(got->generation, 2u);
+  EXPECT_TRUE(got->manifest_rebuilt);
+  auto verified = chain_verify(ck);
+  ASSERT_TRUE(verified.has_value()) << verified.error().to_string();
+  EXPECT_EQ(verified->generations, 2u);
+  EXPECT_EQ(verified->valid, 2u);
+  ASSERT_EQ(verified->problems.size(), 1u);
+  EXPECT_NE(verified->problems[0].find("not a chain manifest"), std::string::npos);
+
+  // Alone: the read fails Corrupt and leaves the file as it was, and verify
+  // finds nothing valid.
+  const std::string bare = chain_path("bare_alone");
+  ASSERT_TRUE(write_checkpoint(bare, kKind, kFp, payload_of(7)).has_value());
+  ASSERT_TRUE(chain_exists(bare));
+  const std::vector<std::uint8_t> before = file_bytes(bare);
+  CheckpointChain alone(bare, 3);
+  auto refused = alone.read(kKind, kFp);
+  ASSERT_FALSE(refused.has_value());
+  EXPECT_EQ(refused.error().kind, GuardErrorKind::Corrupt);
+  EXPECT_EQ(file_bytes(bare), before);
+  auto lone = chain_verify(bare);
+  ASSERT_TRUE(lone.has_value()) << lone.error().to_string();
+  EXPECT_FALSE(lone->ok());
+  EXPECT_EQ(lone->generations, 0u);
+  EXPECT_EQ(lone->problems.size(), 1u);
 }
 
 TEST(CheckpointChain, ForeignFingerprintIsNeverQuarantined) {

@@ -10,12 +10,15 @@
 #   4. a fresh kill, the NEWEST checkpoint generation corrupted in place
 #      -> resume must quarantine it, fall back to the previous generation
 #         and still produce a byte-identical report
+#   5. a fresh kill, the newest generation moved over the manifest path and
+#      the others deleted -> a bare checkpoint is no chain: resume must
+#      exit 2 and leave the file byte-identical
 # Also asserts the deadline path: an already-expired --deadline must exit 3
 # and mark the report truncated.
 #
 # FLIGHT_BIN (env, optional): path to ranycast-flight; when set, `verify`
-# runs against the corrupted chain (must exit 4) and the healthy journal
-# (must exit 0).
+# runs against the corrupted chain and the bare checkpoint (each must exit
+# 4) and the healthy journal (must exit 0).
 #
 # Every run also writes a run journal (--journal). When python3 is
 # available the journals are validated too: the killed run's journal must
@@ -74,13 +77,13 @@ print(len(steps), resumed)
 PY
 }
 
-echo "== 1/5 uninterrupted baseline =="
+echo "== 1/6 uninterrupted baseline =="
 "$CHAOS" --scenario "$SCENARIO" "${SIZING[@]}" \
   --format json --out "$WORKDIR/baseline.json" \
   --journal "$WORKDIR/baseline.ndjson" \
   || fail "baseline run exited $?"
 
-echo "== 2/5 checkpointed run, killed after step $ABORT_AT =="
+echo "== 2/6 checkpointed run, killed after step $ABORT_AT =="
 rm -f "$WORKDIR/run.ck" "$WORKDIR/run.ck.g"* "$WORKDIR/run.ndjson"
 "$CHAOS" --scenario "$SCENARIO" "${SIZING[@]}" \
   --format json --out "$WORKDIR/killed.json" \
@@ -98,7 +101,7 @@ if command -v python3 >/dev/null 2>&1; then
   echo "killed journal is valid NDJSON covering exactly $ABORT_AT completed step(s)"
 fi
 
-echo "== 3/5 resume from the checkpoint =="
+echo "== 3/6 resume from the checkpoint =="
 "$CHAOS" --scenario "$SCENARIO" "${SIZING[@]}" \
   --format json --out "$WORKDIR/resumed.json" \
   --journal "$WORKDIR/run.ndjson" --trace-out "$WORKDIR/run.trace.json" \
@@ -124,7 +127,7 @@ if command -v python3 >/dev/null 2>&1; then
     || fail "exported trace failed check_trace.py"
 fi
 
-echo "== 4/5 corrupt newest generation: quarantine + fallback resume =="
+echo "== 4/6 corrupt newest generation: quarantine + fallback resume =="
 rm -f "$WORKDIR/run2.ck" "$WORKDIR/run2.ck.g"* "$WORKDIR/run2.ndjson"
 "$CHAOS" --scenario "$SCENARIO" "${SIZING[@]}" \
   --format json --out "$WORKDIR/killed2.json" \
@@ -170,7 +173,36 @@ if [ -n "${FLIGHT_BIN:-}" ]; then
   echo "flight verify passed on the resumed journal"
 fi
 
-echo "== 5/5 expired deadline truncates with exit 3 =="
+echo "== 5/6 bare checkpoint at the manifest path is refused =="
+rm -f "$WORKDIR/run3.ck" "$WORKDIR/run3.ck.g"* "$WORKDIR/run3.bare"
+"$CHAOS" --scenario "$SCENARIO" "${SIZING[@]}" \
+  --format json --out "$WORKDIR/killed3.json" \
+  --checkpoint "$WORKDIR/run3.ck" --abort-after "$ABORT_AT"
+rc=$?
+[ "$rc" -eq 137 ] || fail "expected the third aborted run to exit 137, got $rc"
+NEWEST_GEN=$(ls "$WORKDIR"/run3.ck.g* 2>/dev/null | sort -V | tail -1)
+[ -n "$NEWEST_GEN" ] || fail "no checkpoint generation files found next to run3.ck"
+mv "$NEWEST_GEN" "$WORKDIR/run3.ck" || fail "could not move $NEWEST_GEN over run3.ck"
+rm -f "$WORKDIR"/run3.ck.g*
+cp "$WORKDIR/run3.ck" "$WORKDIR/run3.bare" || fail "could not copy run3.ck"
+
+if [ -n "${FLIGHT_BIN:-}" ]; then
+  "$FLIGHT_BIN" verify --checkpoint "$WORKDIR/run3.ck"
+  rc=$?
+  [ "$rc" -eq 4 ] || fail "flight verify on a bare checkpoint: expected exit 4, got $rc"
+  echo "flight verify refused the bare checkpoint (exit 4)"
+fi
+
+"$CHAOS" --scenario "$SCENARIO" "${SIZING[@]}" \
+  --format json --out "$WORKDIR/resumed3.json" \
+  --checkpoint "$WORKDIR/run3.ck" --resume
+rc=$?
+[ "$rc" -eq 2 ] || fail "resume from a bare checkpoint: expected exit 2, got $rc"
+cmp "$WORKDIR/run3.bare" "$WORKDIR/run3.ck" \
+  || fail "the refused resume changed the bare checkpoint"
+echo "bare checkpoint refused (exit 2) and left byte-identical"
+
+echo "== 6/6 expired deadline truncates with exit 3 =="
 "$CHAOS" --scenario "$SCENARIO" "${SIZING[@]}" \
   --format json --out "$WORKDIR/truncated.json" --deadline 0.000001
 rc=$?

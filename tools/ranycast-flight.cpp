@@ -81,10 +81,9 @@ int run_verify(const std::optional<std::string>& journal_path,
       std::fprintf(stderr, "%s\n", report.error().to_string().c_str());
       return 2;
     }
-    std::printf("checkpoint %s: %zu generation%s, %zu valid%s, %zu quarantined\n",
+    std::printf("checkpoint %s: %zu generation%s, %zu valid, %zu quarantined\n",
                 checkpoint_path->c_str(), report->generations,
-                report->generations == 1 ? "" : "s", report->valid,
-                report->legacy ? " (legacy single-file)" : "", report->quarantined);
+                report->generations == 1 ? "" : "s", report->valid, report->quarantined);
     for (const std::string& problem : report->problems) {
       std::printf("  problem: %s\n", problem.c_str());
     }
