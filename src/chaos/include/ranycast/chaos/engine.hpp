@@ -1,14 +1,14 @@
 // The chaos engine: apply a FaultPlan step by step and measure the blast
 // radius of every step.
 //
-// Each step: (1) take the before-pass — every retained probe's DNS answer,
-// selected route and RTT, (2) apply the fault mutation in place
-// (announcement state, adjacency state, geo-DB mode, measurement-plane
-// degradation or demand), (3) re-solve the regional prefixes the mutation
-// touched over the mutated world with the original tie-break salts
-// (lab::Lab::resolve_delta: a link or route-server event touches every
-// prefix, an announcement change only the prefixes of that site), (4) take
-// the after-pass and reduce the deltas into a StepReport.
+// Each step: (1) take the before-pass (lab::Lab::measure: every retained
+// probe's DNS answer, catchment site and RTT), (2) apply the fault
+// mutation in place (announcement state, adjacency state, geo-DB mode,
+// measurement-plane degradation or demand), (3) re-solve the regional
+// prefixes the mutation touched over the mutated world with the original
+// tie-break salts (lab::Lab::resolve_delta: a link or route-server event
+// touches every prefix, an announcement change only the prefixes of that
+// site), (4) take the after-pass and reduce the deltas into a StepReport.
 //
 // Measurements are pure in lab state, so each lab state is measured once:
 // step i's after-pass (and post-fault traffic solve) is step i+1's
@@ -18,9 +18,10 @@
 // re-solve reports the AS rows it changed per region
 // (lab::Lab::resolve_delta); the after-pass is the before-pass with route
 // lookup and ping redone only for the probes whose AS row changed in the
-// region DNS answered them with — a probe's view reads nothing else, and
-// an unchanged row keeps its path and RTT bits. Demand events copy the
-// before-pass; geo-DB and measurement-fault events re-measure in full.
+// region DNS answered them with (lab::Lab::remeasure) — a probe's row reads
+// nothing else, and an unchanged AS row keeps its path and RTT bits. Demand
+// events copy the before-pass; geo-DB and measurement-fault events
+// re-measure in full.
 //
 // The traffic plane follows the same rule: the engine carries each probe's
 // traffic assignment next to the solve over it, a routing step re-assigns
@@ -117,6 +118,11 @@ struct ChaosReport {
   std::vector<traffic::StepTraffic> traffic;
 };
 
+/// Binds a checkpoint to (config, seed, deployment, plan); the guarded run
+/// and the serving plane fold their own settings onto it.
+std::uint64_t plan_fingerprint(const lab::Lab& laboratory, const cdn::Deployment& dep,
+                               const FaultPlan& plan);
+
 /// Outcome of a supervised run: the (possibly partial) report plus how the
 /// sweep ended — whether it resumed, how far it got and why it stopped.
 struct GuardedChaosRun {
@@ -182,9 +188,8 @@ class Engine {
   std::string apply_event(const FaultEvent& e) { return apply(e); }
 
  private:
-  struct ProbeView;  // per-probe snapshot (answer, route, rtt)
-  struct Carry;      // measurements of the current lab state, kept across steps
-  struct Reach;      // the probes a routing step's re-solve can have moved
+  struct Carry;  // measurements of the current lab state, kept across steps
+  struct Reach;  // the probes a routing step's re-solve can have moved
 
   /// Which measurement inputs an applied event changed (none for demand
   /// events: the surge scale only feeds the traffic plane's flows).
@@ -200,17 +205,10 @@ class Engine {
   /// "" on success, else the error. `changed` (if given) receives what the
   /// event changed, with the re-solve's changed rows.
   std::string apply(const FaultEvent& e, Changes* changed = nullptr);
-  /// One full measurement pass over the retained probes.
-  void snapshot(std::vector<ProbeView>& out) const;
-  /// Route lookup and ping of one view against its DNS answer.
-  void route_and_ping(ProbeView& view) const;
-  /// Redo route lookup and ping for the listed probes of a pass; their DNS
-  /// answers stand.
-  void remeasure(std::vector<ProbeView>& views, std::span<const std::uint32_t> which) const;
-  /// The probes of `views` that the re-solve reported by `rows` can have
-  /// moved; `assigns` is filled only when asked for.
-  Reach reach(const std::vector<ProbeView>& views, const std::vector<bgp::ChangedRows>& rows,
-              bool assigns);
+  /// The rows of a pass that the re-solve reported by `changed` can have
+  /// moved; `Reach::reassign` is filled only when `assigns` is set.
+  Reach reach(const std::vector<lab::Measurement>& rows,
+              const std::vector<bgp::ChangedRows>& changed, bool assigns);
   /// Build (or rebuild after a resume) the convergence plane from the lab's
   /// current state; no-op unless enable_transient was called.
   void ensure_plane();
@@ -230,15 +228,18 @@ class Engine {
   /// Redo the traffic assignment of the listed probes of a pass (every
   /// probe when `which` is null) against the live routes — the other
   /// regions' catchments supply the shed alternates, so this must run while
-  /// the routes the views were measured from are live. True when any
+  /// the routes the rows were measured from are live. True when any
   /// probe's assignment changed.
-  bool reassign(const std::vector<ProbeView>& views, std::vector<traffic::ProbeAssign>& assign,
+  bool reassign(const std::vector<lab::Measurement>& rows,
+                std::vector<traffic::ProbeAssign>& assign,
                 const std::vector<std::uint32_t>* which) const;
   /// The traffic model over one assignment under the current flows.
   traffic::TrafficSolve solve_traffic(std::span<const traffic::ProbeAssign> assign);
 
   lab::Lab& lab_;
   lab::DeploymentHandle* handle_;
+  /// census().retained(): row i of a pass is retained_[i]'s measurement.
+  const std::vector<const atlas::Probe*> retained_;
   /// Undo state for restore events.
   std::unordered_map<std::uint16_t, std::vector<std::size_t>> withdrawn_sites_;
   std::unordered_map<std::size_t, std::vector<SiteId>> withdrawn_regions_;

@@ -258,20 +258,6 @@ std::optional<converge::StepTransient> read_transient(guard::ByteReader& r) {
   return s;
 }
 
-/// Binds a checkpoint to (config, seed, deployment, plan): resuming after
-/// changing any of them is a different experiment and must be refused.
-std::uint64_t run_fingerprint(const lab::Lab& laboratory, const cdn::Deployment& dep,
-                              const FaultPlan& plan) {
-  std::uint64_t h = io::config_fingerprint(laboratory.config());
-  h = hash_combine(h, core::crc32(dep.name().data(), dep.name().size()));
-  h = hash_combine(h, core::crc32(plan.name.data(), plan.name.size()));
-  for (const FaultEvent& e : plan.events) {
-    const std::string d = describe(e);
-    h = hash_combine(h, core::crc32(d.data(), d.size()));
-  }
-  return h;
-}
-
 /// Thrown out of the sweep's process hook on an unappliable event; caught
 /// in run_guarded and converted back into the Expected error channel.
 struct StepFailure : std::runtime_error {
@@ -339,16 +325,17 @@ void journal_traffic(const traffic::StepTraffic& t) {
 
 }  // namespace
 
-/// What one probe saw during a measurement pass. Routes are captured by
-/// value (origin site), never by pointer: a re-solve frees the routes of
-/// the previous pass.
-struct Engine::ProbeView {
-  const atlas::Probe* probe{nullptr};
-  lab::Lab::DnsAnswer answer{};
-  bool routed{false};
-  SiteId site{kInvalidSite};
-  std::optional<Rtt> rtt{};
-};
+std::uint64_t plan_fingerprint(const lab::Lab& laboratory, const cdn::Deployment& dep,
+                               const FaultPlan& plan) {
+  std::uint64_t h = io::config_fingerprint(laboratory.config());
+  h = hash_combine(h, core::crc32(dep.name().data(), dep.name().size()));
+  h = hash_combine(h, core::crc32(plan.name.data(), plan.name.size()));
+  for (const FaultEvent& e : plan.events) {
+    const std::string d = describe(e);
+    h = hash_combine(h, core::crc32(d.data(), d.size()));
+  }
+  return h;
+}
 
 /// The measurements of the lab's current state, carried from one step to
 /// the next: step i's after-pass and post-fault traffic solve are step
@@ -356,9 +343,9 @@ struct Engine::ProbeView {
 /// (and the first step after a resume's fast-forward, which does not
 /// measure) takes a full before-pass.
 struct Engine::Carry {
-  std::vector<ProbeView> before;
-  std::vector<ProbeView> after;  ///< scratch buffer for the after-pass
-  bool measured{false};          ///< `before` holds the current state's pass
+  std::vector<lab::Measurement> before;
+  std::vector<lab::Measurement> after;  ///< scratch buffer for the after-pass
+  bool measured{false};                 ///< `before` holds the current state's pass
   /// Traffic of the current state: each probe's assignment and the solve
   /// over it; both empty until the first traffic step solves them.
   std::vector<traffic::ProbeAssign> assign;
@@ -367,12 +354,14 @@ struct Engine::Carry {
 
 /// Indices into the retained probes, ascending.
 struct Engine::Reach {
-  std::vector<std::uint32_t> views;    ///< AS row changed in the answered region
-  std::vector<std::uint32_t> assigns;  ///< AS row changed in any region
+  std::vector<std::uint32_t> remeasure;  ///< AS row changed in the answered region
+  std::vector<std::uint32_t> reassign;   ///< AS row changed in any region
 };
 
 Engine::Engine(lab::Lab& laboratory, const lab::DeploymentHandle& handle)
-    : lab_(laboratory), handle_(laboratory.handle_mut(handle)) {}
+    : lab_(laboratory),
+      handle_(laboratory.handle_mut(handle)),
+      retained_(laboratory.census().retained()) {}
 
 void Engine::enable_transient(const converge::Config& cfg) {
   transient_cfg_ = cfg;
@@ -387,41 +376,41 @@ void Engine::enable_traffic(const traffic::TrafficConfig& cfg) {
 
 const traffic::FlowSet& Engine::current_flows() {
   if (!groups_built_) {
-    probe_groups_ = atlas::group_probes(lab_.census().retained());
+    probe_groups_ = atlas::group_probes(retained_);
     groups_built_ = true;
   }
   // Demand only changes when a traffic_surge/_restore event moves the scale;
   // key the cache on the exact bits so equal scales never regenerate.
   const std::uint64_t key = std::bit_cast<std::uint64_t>(surge_scale_);
   if (!flow_cache_ || flow_cache_->first != key) {
-    flow_cache_.emplace(key, traffic::generate_flows(probe_groups_, lab_.census().retained(),
+    flow_cache_.emplace(key, traffic::generate_flows(probe_groups_, retained_,
                                                      *traffic_cfg_, surge_scale_));
   }
   return flow_cache_->second;
 }
 
-bool Engine::reassign(const std::vector<ProbeView>& views,
+bool Engine::reassign(const std::vector<lab::Measurement>& rows,
                       std::vector<traffic::ProbeAssign>& assign,
                       const std::vector<std::uint32_t>* which) const {
   const std::size_t regions = handle_->deployment.regions().size();
   const bool shed = traffic_cfg_->policy == traffic::OverloadPolicy::Shed;
   std::atomic<bool> moved{false};
-  // A probe's assignment is pure in (view, live routes): disjoint slots, so
-  // the fan-out is worker-count independent like every other snapshot pass.
-  const std::size_t count = which != nullptr ? which->size() : views.size();
+  // A probe's assignment is pure in (row, live routes): disjoint slots, so
+  // the fan-out is worker-count independent like every measurement pass.
+  const std::size_t count = which != nullptr ? which->size() : rows.size();
   exec::ThreadPool::global().parallel_for(count, [&](std::size_t k) {
     const std::size_t i = which != nullptr ? (*which)[k] : k;
-    const ProbeView& v = views[i];
+    const lab::Measurement& m = rows[i];
     traffic::ProbeAssign pa;
-    if (v.routed) {
-      pa.site = v.site;
+    if (m.routed) {
+      pa.site = SiteId{m.site};
       // DNS can steer this client to any other regional prefix it still
       // has a route to; the shed targets are those prefixes' catchment
       // sites (region order — deterministic).
       for (std::size_t r2 = 0; shed && r2 < regions; ++r2) {
-        if (r2 == v.answer.region) continue;
-        const auto site = handle_->catchment(v.probe->asn, r2);
-        if (!site || *site == v.site) continue;
+        if (r2 == m.region) continue;
+        const auto site = handle_->catchment(retained_[i]->asn, r2);
+        if (!site || *site == pa.site) continue;
         bool dup = false;
         for (SiteId existing : pa.alternates) dup = dup || existing == *site;
         if (!dup) pa.alternates.push_back(*site);
@@ -451,71 +440,35 @@ void Engine::ensure_plane() {
   plane_->rebuild();
 }
 
-void Engine::snapshot(std::vector<ProbeView>& out) const {
-  static obs::Counter& passes = metrics().counter("chaos.measure.passes");
-  const auto retained = lab_.census().retained();
-  passes.add();
-  out.clear();
-  out.resize(retained.size());
-  // Each probe's view is pure in (probe, deployment state), so the fan-out
-  // writes disjoint slots and the snapshot is identical for any worker count.
-  exec::ThreadPool::global().parallel_for(retained.size(), [&](std::size_t i) {
-    ProbeView view;
-    view.probe = retained[i];
-    view.answer = lab_.dns_lookup(*view.probe, *handle_, dns::QueryMode::Ldns);
-    route_and_ping(view);
-    out[i] = std::move(view);
-  });
-}
-
-void Engine::route_and_ping(ProbeView& view) const {
-  const auto site = handle_->catchment(view.probe->asn, view.answer.region);
-  view.routed = site.has_value();
-  view.site = site.value_or(kInvalidSite);
-  view.rtt = site ? lab_.ping(*view.probe, view.answer.address) : std::nullopt;
-}
-
-void Engine::remeasure(std::vector<ProbeView>& views,
-                       std::span<const std::uint32_t> which) const {
-  static obs::Counter& passes = metrics().counter("chaos.measure.passes");
-  static obs::Counter& dns_reused = metrics().counter("chaos.measure.dns_reused");
-  static obs::Counter& remeasured = metrics().counter("chaos.measure.remeasured");
-  passes.add();
-  dns_reused.add(views.size());
-  remeasured.add(which.size());
-  exec::ThreadPool::global().parallel_for(
-      which.size(), [&](std::size_t k) { route_and_ping(views[which[k]]); });
-}
-
-Engine::Reach Engine::reach(const std::vector<ProbeView>& views,
-                            const std::vector<bgp::ChangedRows>& rows, bool assigns) {
+Engine::Reach Engine::reach(const std::vector<lab::Measurement>& rows,
+                            const std::vector<bgp::ChangedRows>& changed, bool assigns) {
   constexpr std::uint32_t kNoNode = std::numeric_limits<std::uint32_t>::max();
   const topo::Graph& graph = lab_.world().graph;
-  if (probe_nodes_.size() != views.size()) {
-    probe_nodes_.resize(views.size());
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      const auto idx = graph.index_of(views[i].probe->asn);
+  if (probe_nodes_.size() != retained_.size()) {
+    probe_nodes_.resize(retained_.size());
+    for (std::size_t i = 0; i < retained_.size(); ++i) {
+      const auto idx = graph.index_of(retained_[i]->asn);
       probe_nodes_[i] = idx ? static_cast<std::uint32_t>(*idx) : kNoNode;
     }
   }
   // Per region with changed rows, a byte per dense node index.
-  std::vector<std::vector<std::uint8_t>> marks(rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (rows[r].rows.empty()) continue;
+  std::vector<std::vector<std::uint8_t>> marks(changed.size());
+  for (std::size_t r = 0; r < changed.size(); ++r) {
+    if (changed[r].rows.empty()) continue;
     marks[r].assign(graph.nodes().size(), 0);
-    for (const std::uint32_t x : rows[r].rows) marks[r][x] = 1;
+    for (const std::uint32_t x : changed[r].rows) marks[r][x] = 1;
   }
   const auto moved_in = [&](std::size_t r, std::uint32_t x) {
-    return rows[r].all || (!marks[r].empty() && x != kNoNode && marks[r][x] != 0);
+    return changed[r].all || (!marks[r].empty() && x != kNoNode && marks[r][x] != 0);
   };
   Reach out;
-  for (std::size_t i = 0; i < views.size(); ++i) {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
     const std::uint32_t x = probe_nodes_[i];
-    if (moved_in(views[i].answer.region, x)) out.views.push_back(static_cast<std::uint32_t>(i));
+    if (moved_in(rows[i].region, x)) out.remeasure.push_back(static_cast<std::uint32_t>(i));
     if (!assigns) continue;
-    for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (std::size_t r = 0; r < changed.size(); ++r) {
       if (moved_in(r, x)) {
-        out.assigns.push_back(static_cast<std::uint32_t>(i));
+        out.reassign.push_back(static_cast<std::uint32_t>(i));
         break;
       }
     }
@@ -694,6 +647,9 @@ core::Expected<StepReport, std::string> Engine::execute_step(
     std::vector<traffic::StepTraffic>* traffic_out) {
   static obs::Counter& steps_counter = metrics().counter("chaos.steps");
   static obs::Histogram& step_us = metrics().histogram("chaos.step.total_us");
+  static obs::Counter& passes = metrics().counter("chaos.measure.passes");
+  static obs::Counter& dns_reused = metrics().counter("chaos.measure.dns_reused");
+  static obs::Counter& remeasured = metrics().counter("chaos.measure.remeasured");
   const FaultEvent& event = plan.events[index];
   obs::Span span("chaos.step");
   obs::ScopedTimer timer(step_us);
@@ -702,8 +658,8 @@ core::Expected<StepReport, std::string> Engine::execute_step(
 
   const auto& gaz = geo::Gazetteer::world();
   const auto& dep = handle_->deployment;
-  std::vector<ProbeView>& before = carry.before;
-  std::vector<ProbeView>& after = carry.after;
+  std::vector<lab::Measurement>& before = carry.before;
+  std::vector<lab::Measurement>& after = carry.after;
 
   const bool transient = transient_cfg_.has_value() && transient_out != nullptr;
   if (transient) {
@@ -713,7 +669,8 @@ core::Expected<StepReport, std::string> Engine::execute_step(
 
   if (!carry.measured) {
     obs::Span measure_span("chaos.measure.before");
-    snapshot(before);
+    passes.add();
+    lab_.measure(*handle_, before);
     carry.measured = true;
   }
   const bool traffic_on = traffic_cfg_.has_value() && traffic_out != nullptr;
@@ -740,12 +697,16 @@ core::Expected<StepReport, std::string> Engine::execute_step(
     // step only for the probes whose AS row the re-solve changed.
     obs::Span measure_span("chaos.measure.after");
     if (changes.dns) {
-      snapshot(after);
+      passes.add();
+      lab_.measure(*handle_, after);
     } else {
       after = before;  // DNS answers stand; a demand step moves nothing else
       if (changes.routes) {
         reached = reach(before, changes.rows, traffic_on);
-        remeasure(after, reached.views);
+        passes.add();
+        dns_reused.add(after.size());
+        remeasured.add(reached.remeasure.size());
+        lab_.remeasure(*handle_, after, reached.remeasure);
       }
     }
   }
@@ -758,12 +719,12 @@ core::Expected<StepReport, std::string> Engine::execute_step(
   std::optional<obs::Span> reduce_span(std::in_place, "chaos.reduce");
   std::vector<double> before_ms, after_ms;
   for (std::size_t p = 0; p < before.size(); ++p) {
-    const ProbeView& b = before[p];
-    const ProbeView& a = after[p];
+    const lab::Measurement& b = before[p];
+    const lab::Measurement& a = after[p];
     if (b.routed) ++step.routes_before;
     if (a.routed) ++step.routes_after;
-    if (a.answer.degraded) ++step.degraded_dns_answers;
-    if (a.routed && !a.rtt) ++step.lost_pings;
+    if (a.degraded) ++step.degraded_dns_answers;
+    if (a.ping_lost) ++step.lost_pings;
     const bool moved = b.routed && a.routed && b.site != a.site;
     const bool lost = b.routed && !a.routed;
     if (moved) ++step.moved;
@@ -776,10 +737,10 @@ core::Expected<StepReport, std::string> Engine::execute_step(
     bool affected = false;
     switch (event.kind) {
       case FaultKind::SiteWithdraw:
-        affected = b.routed && b.site == event.site;
+        affected = b.routed && b.site == value(event.site);
         break;
       case FaultKind::RegionWithdraw:
-        affected = b.routed && b.answer.region == event.region;
+        affected = b.routed && b.region == event.region;
         break;
       default:
         affected = moved || lost;
@@ -787,7 +748,7 @@ core::Expected<StepReport, std::string> Engine::execute_step(
     }
     if (!affected) continue;
     ++step.affected_probes;
-    if (b.rtt) before_ms.push_back(b.rtt->ms);
+    if (b.routed && !b.ping_lost) before_ms.push_back(b.rtt_ms);
 
     if (!a.routed) {
       // The answered region is unreachable. The service survives if some
@@ -795,9 +756,9 @@ core::Expected<StepReport, std::string> Engine::execute_step(
       // (§4.5); the client lands cross-region on the nearest one.
       std::optional<Rtt> best;
       for (std::size_t r2 = 0; r2 < dep.regions().size(); ++r2) {
-        if (r2 == a.answer.region) continue;
-        if (!handle_->catchment(b.probe->asn, r2)) continue;
-        const auto rtt = lab_.ping(*b.probe, dep.regions()[r2].service_ip);
+        if (r2 == a.region) continue;
+        if (!handle_->catchment(retained_[p]->asn, r2)) continue;
+        const auto rtt = lab_.ping(*retained_[p], dep.regions()[r2].service_ip);
         if (rtt && (!best || *rtt < *best)) best = rtt;
       }
       if (!best) continue;  // truly unreachable
@@ -807,10 +768,10 @@ core::Expected<StepReport, std::string> Engine::execute_step(
       continue;
     }
     ++step.still_served;
-    if (a.rtt) after_ms.push_back(a.rtt->ms);
-    const cdn::Site& landed = dep.site(a.site);
-    if (landed.announces(a.answer.region) && b.site != kInvalidSite) {
-      if (gaz.area_of_city(landed.city) == gaz.area_of_city(dep.site(b.site).city)) {
+    if (!a.ping_lost) after_ms.push_back(a.rtt_ms);
+    const cdn::Site& landed = dep.site(SiteId{a.site});
+    if (landed.announces(a.region) && b.site != value(kInvalidSite)) {
+      if (gaz.area_of_city(landed.city) == gaz.area_of_city(dep.site(SiteId{b.site}).city)) {
         ++step.failover_in_region;
       }
     }
@@ -828,8 +789,8 @@ core::Expected<StepReport, std::string> Engine::execute_step(
     // the fault hit — that prefix's convergence is their outage.
     std::vector<converge::ProbeRef> refs;
     refs.reserve(before.size());
-    for (const ProbeView& b : before) {
-      refs.push_back(converge::ProbeRef{b.probe->asn, b.answer.region});
+    for (std::size_t p = 0; p < before.size(); ++p) {
+      refs.push_back(converge::ProbeRef{retained_[p]->asn, before[p].region});
     }
     transient_out->push_back(plane_->step(index, describe(event), changes.origins, refs));
   }
@@ -853,7 +814,7 @@ core::Expected<StepReport, std::string> Engine::execute_step(
     if (changes.dns) {
       moved = reassign(after, carry.assign, nullptr);
     } else if (changes.routes) {
-      moved = reassign(after, carry.assign, &reached.assigns);
+      moved = reassign(after, carry.assign, &reached.reassign);
     }
     const bool flows_moved =
         std::bit_cast<std::uint64_t>(surge_scale_) != std::bit_cast<std::uint64_t>(scale_before);
@@ -880,12 +841,12 @@ core::Expected<StepReport, std::string> Engine::execute_step(
     t.cascade_depth = (t.tipped_sites > 0 ? 1 : 0) + t.solve.cascade_depth;
     std::vector<double> inflated;
     inflated.reserve(after.size());
-    for (const ProbeView& a : after) {
-      if (!a.routed || !a.rtt) continue;
-      const std::size_t s = value(a.site);
+    for (const lab::Measurement& a : after) {
+      if (!a.routed || a.ping_lost) continue;
+      const std::size_t s = a.site;
       const double wait =
           s < t.solve.sites.size() ? t.solve.sites[s].queue_delay_ms : 0.0;
-      inflated.push_back(a.rtt->ms + wait);
+      inflated.push_back(a.rtt_ms + wait);
       delay_hist.record(wait);
     }
     t.inflated_p50_ms = analysis::percentile(inflated, 50);
@@ -916,7 +877,7 @@ core::Expected<ChaosReport, std::string> Engine::run(const FaultPlan& plan) {
   report.plan = plan.name;
   report.deployment = handle_->deployment.name();
   report.seed = lab_.config().seed;
-  report.probes = lab_.census().retained().size();
+  report.probes = retained_.size();
   report.planned_steps = plan.events.size();
 
   Carry carry;
@@ -944,10 +905,10 @@ core::Expected<GuardedChaosRun, std::string> Engine::run_guarded(
   report.plan = plan.name;
   report.deployment = handle_->deployment.name();
   report.seed = lab_.config().seed;
-  report.probes = lab_.census().retained().size();
+  report.probes = retained_.size();
   report.planned_steps = plan.events.size();
 
-  std::uint64_t fingerprint = run_fingerprint(lab_, handle_->deployment, plan);
+  std::uint64_t fingerprint = plan_fingerprint(lab_, handle_->deployment, plan);
   // A transient run's checkpoints are a different experiment from a
   // steady-only run's (and from a transient run under other timers).
   if (transient_cfg_) {

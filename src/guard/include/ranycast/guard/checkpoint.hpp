@@ -38,8 +38,8 @@ enum class CheckpointKind : std::uint32_t {
   /// The lineage manifest written at the policy path by CheckpointChain:
   /// its payload lists the rotating generation files (see chain.hpp).
   ChainManifest = 4,
-  /// The serving plane's complete state (serve::Server::save): snapshots,
-  /// ladder history, admission model, world-drift cursor.
+  /// The serving plane's state (serve::Server::save): the published
+  /// snapshot, ladder history, admission model, world-drift cursor.
   ServeState = 5,
 };
 

@@ -71,6 +71,21 @@ struct MeasurementFaults {
   bool active() const noexcept { return ping_loss_prob > 0.0 || dns_timeout_prob > 0.0; }
 };
 
+/// One retained probe's row of a measurement pass (Lab::measure), by value:
+/// a re-solve frees the routes of the previous pass.
+struct Measurement {
+  std::uint32_t address{0};  ///< the deployment address DNS handed the probe
+  std::uint16_t region{0};   ///< regional prefix index the answer came from
+  std::uint16_t site{0};     ///< catchment site (kInvalidSite when unrouted)
+  double rtt_ms{0.0};        ///< measured RTT (0 when unrouted or lost)
+  bool routed{false};        ///< probe's AS holds a route to the answer
+  bool degraded{false};      ///< DNS served the fallback region
+  bool ping_lost{false};     ///< routed, but the ping measured nothing
+
+  bool operator==(const Measurement&) const = default;
+};
+static_assert(sizeof(Measurement) == 24);
+
 struct LabConfig {
   topo::GeneratorParams world;
   atlas::CensusConfig census;
@@ -239,6 +254,16 @@ class Lab {
   /// synthesis fans out read-only.
   std::vector<std::optional<bgp::TracerouteResult>> traceroute_all(
       std::span<const atlas::Probe* const> probes, Ipv4Addr address) const;
+
+  /// The measurement pass (§4–§5): row i is retained probe i's LDNS
+  /// answer, the catchment site of the answered prefix and the ping to it.
+  /// Rows are pure in (probe, lab state), so the pool fan-out gives the
+  /// same rows at any worker count. `rows` is resized and fully rewritten.
+  void measure(const DeploymentHandle& handle, std::vector<Measurement>& rows) const;
+  /// Redo route lookup and ping for the listed rows only; their DNS
+  /// answers stand.
+  void remeasure(const DeploymentHandle& handle, std::vector<Measurement>& rows,
+                 std::span<const std::uint32_t> which) const;
 
   /// Catchment site of a probe for an address (nullopt if unreachable or
   /// the address is not registered).

@@ -104,6 +104,17 @@ std::optional<bgp::RoutingOutcome> prime_if_needed(const Lab& laboratory,
   return solver.prime(r, dep.origins_for_region(r), laboratory.tiebreak_seed(r), stats);
 }
 
+/// Route lookup and ping of one row against the DNS answer it holds.
+void route_and_ping(const Lab& laboratory, const DeploymentHandle& handle,
+                    const atlas::Probe& probe, Measurement& row) {
+  const auto site = handle.catchment(probe.asn, row.region);
+  const auto rtt = site ? laboratory.ping(probe, Ipv4Addr{row.address}) : std::nullopt;
+  row.site = value(site.value_or(kInvalidSite));
+  row.rtt_ms = rtt ? rtt->ms : 0.0;
+  row.routed = site.has_value();
+  row.ping_lost = site && !rtt;
+}
+
 }  // namespace
 
 Lab::Lab(const LabConfig& config) : config_(config) {
@@ -379,6 +390,26 @@ std::vector<std::optional<bgp::TracerouteResult>> Lab::traceroute_all(
                                    config_.traceroute, warmed);
   });
   return out;
+}
+
+void Lab::measure(const DeploymentHandle& handle, std::vector<Measurement>& rows) const {
+  const auto retained = census_.retained();
+  rows.resize(retained.size());
+  exec::ThreadPool::global().parallel_for(retained.size(), [&](std::size_t i) {
+    const DnsAnswer answer = dns_lookup(*retained[i], handle, dns::QueryMode::Ldns);
+    rows[i] = Measurement{.address = answer.address.bits(),
+                          .region = static_cast<std::uint16_t>(answer.region),
+                          .degraded = answer.degraded};
+    route_and_ping(*this, handle, *retained[i], rows[i]);
+  });
+}
+
+void Lab::remeasure(const DeploymentHandle& handle, std::vector<Measurement>& rows,
+                    std::span<const std::uint32_t> which) const {
+  const auto retained = census_.retained();
+  exec::ThreadPool::global().parallel_for(which.size(), [&](std::size_t k) {
+    route_and_ping(*this, handle, *retained[which[k]], rows[which[k]]);
+  });
 }
 
 std::optional<SiteId> Lab::catchment_of(const atlas::Probe& probe, Ipv4Addr address) const {

@@ -21,8 +21,8 @@
 //   - degradation ladder (ladder.hpp) journaled on every transition
 //   - admission control (admission.hpp) with shed accounting in obs
 //   - crash-restart through guard::CheckpointChain (save/load round-trip
-//     the complete serving state: snapshots, ladder history, bucket,
-//     queue model, latency digest, world-drift cursor)
+//     the published snapshot, ladder history, bucket, queue model, latency
+//     digest, world-drift cursor; load rebuilds an in-flight build)
 //   - fault-injected serving (fault.hpp) with a differential ladder test
 #pragma once
 
@@ -107,10 +107,10 @@ struct QueryResult {
   std::uint64_t epoch{0};        ///< epoch the answer came from (0 if none)
   std::uint64_t fingerprint{0};  ///< that epoch's content fingerprint
   std::uint64_t latency_us{0};   ///< virtual latency (0 unless Served)
-  MapEntry entry;                ///< meaningful only when Served
+  lab::Measurement entry;        ///< meaningful only when Served
 };
 
-/// Shed/serve accounting (also mirrored into obs serve.* counters).
+/// Shed/serve accounting (each outcome also bumps its obs serve.* counter).
 struct ServeStats {
   std::uint64_t queries{0};
   std::uint64_t served{0};
@@ -170,12 +170,12 @@ class Server {
 
   // ---- persistence (guard::run_sweep hooks) ----
 
-  /// Serialize the complete serving state (refresher, snapshots, ladder,
+  /// Serialize the serving state (refresher, published snapshot, ladder,
   /// admission, stats, latency digest) into a checkpoint payload.
   void save(guard::ByteWriter& w) const;
-  /// Restore from a checkpoint payload; re-applies the already-consumed
-  /// world-drift events so the lab reaches the checkpointed state. Returns
-  /// false on a short/garbled payload or an unappliable replayed event.
+  /// Restore from a payload that ends with the server's state; re-applies
+  /// the consumed world-drift events, then rebuilds an in-flight build.
+  /// False on a short, garbled or over-long payload or a failed replay.
   bool load(guard::ByteReader& r);
 
  private:

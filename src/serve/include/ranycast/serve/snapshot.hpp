@@ -1,8 +1,9 @@
 // The immutable world a query is answered from.
 //
-// A WorldSnapshot is one epoch of the serving plane: for every retained
-// probe, the site/region/address the deployment currently maps it to and
-// the RTT it would measure. Snapshots are built by the refresher off the
+// A WorldSnapshot is one epoch of the serving plane: the lab's measurement
+// pass (lab::Lab::measure), one row per retained probe with the
+// site/region/address the deployment currently maps it to and the RTT it
+// would measure. Snapshots are built by the refresher off the
 // live lab (chaos mutations included), published with an atomic
 // shared_ptr swap (RCU-style: readers pin an epoch by copying the pointer,
 // retired epochs are reclaimed when the last reader drops its pin) and are
@@ -13,6 +14,11 @@
 // as raw IEEE-754 bits), which is what lets a SIGKILL'd server restore the
 // last published epoch from the checkpoint chain and keep answering
 // byte-identically.
+//
+// A row's wire form is six fields (address u32, region u16, site u16, rtt_ms
+// f64, routed u8, degraded u8; a lost ping is a routed row with RTT 0), the
+// bytes the journaled fingerprints rest on. ping_lost travels only in the
+// checkpoint: a u64 count and the ascending u32 indices of the lost rows.
 #pragma once
 
 #include <cstdint>
@@ -24,41 +30,33 @@
 
 namespace ranycast::serve {
 
-/// One probe's mapping in one epoch.
-struct MapEntry {
-  std::uint32_t address{0};  ///< the deployment address DNS handed the probe
-  std::uint16_t region{0};   ///< regional prefix index the answer came from
-  std::uint16_t site{0};     ///< catchment site (kInvalidSite when unrouted)
-  double rtt_ms{0.0};        ///< measured RTT (0 when unrouted)
-  bool routed{false};        ///< probe's AS holds a route to the answer
-  bool degraded{false};      ///< DNS served the fallback region
-
-  bool operator==(const MapEntry&) const = default;
-};
+/// One probe's mapping in one epoch: the lab's measurement row, under the
+/// name the serving plane's clients spell.
+using MapEntry = lab::Measurement;
 
 struct WorldSnapshot {
-  std::uint64_t epoch{0};        ///< publish ordinal, strictly increasing
-  std::uint64_t built_at_ns{0};  ///< virtual completion time of the build
-  std::uint64_t fingerprint{0};  ///< CRC over the encoded entries
-  std::vector<MapEntry> entries; ///< indexed like census().retained()
+  std::uint64_t epoch{0};                 ///< publish ordinal, strictly increasing
+  std::uint64_t built_at_ns{0};           ///< virtual completion time of the build
+  std::uint64_t fingerprint{0};           ///< CRC over the encoded entries
+  std::vector<lab::Measurement> entries;  ///< indexed like census().retained()
 
   bool operator==(const WorldSnapshot&) const = default;
 };
 
-/// Measure every retained probe against the deployment's current routes:
-/// DNS answer, catchment site, RTT. Fans out over the deterministic thread
-/// pool, so the same lab state yields byte-identical snapshots at any
-/// worker count. `built_at_ns` is virtual serving time, never wall clock.
+/// lab::Lab::measure of the deployment's current routes, fingerprinted:
+/// the same lab state yields byte-identical snapshots at any worker count.
+/// `built_at_ns` is virtual serving time, never wall clock.
 WorldSnapshot build_snapshot(lab::Lab& laboratory, const lab::DeploymentHandle& handle,
                              std::uint64_t epoch, std::uint64_t built_at_ns);
 
-/// CRC-32-based content fingerprint over the entries (epoch and build time
-/// excluded: two builds of the same world state fingerprint identically).
+/// hash_combine(entry count, CRC-32 of the six-field entries): two builds
+/// of the same world state fingerprint identically.
 std::uint64_t snapshot_fingerprint(const WorldSnapshot& snapshot);
 
 void encode_snapshot(guard::ByteWriter& w, const WorldSnapshot& snapshot);
 /// Returns false (and leaves `out` unspecified) on a short or garbled
-/// payload; callers treat that as a corrupt checkpoint.
+/// payload, including a ping_lost list that is not strictly ascending or
+/// names a row not routed with RTT 0; callers treat that as corrupt.
 bool decode_snapshot(guard::ByteReader& r, WorldSnapshot& out);
 
 }  // namespace ranycast::serve

@@ -4,9 +4,7 @@
 #include <bit>
 #include <cmath>
 
-#include "ranycast/core/crc32.hpp"
 #include "ranycast/core/rng.hpp"
-#include "ranycast/io/config.hpp"
 #include "ranycast/obs/journal.hpp"
 #include "ranycast/obs/metrics.hpp"
 
@@ -14,29 +12,25 @@ namespace ranycast::serve {
 
 namespace {
 
-using ranycast::hash_combine;
-
-obs::Counter& status_counter(QueryStatus status) {
-  static obs::Counter& served = obs::MetricsRegistry::global().counter("serve.served");
-  static obs::Counter& shed_queue =
-      obs::MetricsRegistry::global().counter("serve.shed.queue");
-  static obs::Counter& shed_deadline =
-      obs::MetricsRegistry::global().counter("serve.shed.deadline");
-  static obs::Counter& shed_rate =
-      obs::MetricsRegistry::global().counter("serve.shed.rate");
-  static obs::Counter& rejected = obs::MetricsRegistry::global().counter("serve.rejected");
+/// Counts one query outcome in its ServeStats field and its serve.* counter.
+void count_outcome(ServeStats& stats, QueryStatus status) {
+  static obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  static obs::Counter& served = reg.counter("serve.served");
+  static obs::Counter& shed_queue = reg.counter("serve.shed.queue");
+  static obs::Counter& shed_deadline = reg.counter("serve.shed.deadline");
+  static obs::Counter& shed_rate = reg.counter("serve.shed.rate");
+  static obs::Counter& rejected = reg.counter("serve.rejected");
+  const auto bump = [](std::uint64_t& field, obs::Counter& counter) {
+    ++field;
+    counter.add();
+  };
   switch (status) {
-    case QueryStatus::Served: return served;
-    case QueryStatus::ShedQueue: return shed_queue;
-    case QueryStatus::ShedDeadline: return shed_deadline;
-    case QueryStatus::ShedRate: return shed_rate;
-    case QueryStatus::Rejected: break;
+    case QueryStatus::Served: return bump(stats.served, served);
+    case QueryStatus::ShedQueue: return bump(stats.shed_queue, shed_queue);
+    case QueryStatus::ShedDeadline: return bump(stats.shed_deadline, shed_deadline);
+    case QueryStatus::ShedRate: return bump(stats.shed_rate, shed_rate);
+    case QueryStatus::Rejected: return bump(stats.rejected, rejected);
   }
-  return rejected;
-}
-
-std::uint64_t crc_of(std::string_view s) {
-  return core::crc32(s.data(), s.size());
 }
 
 }  // namespace
@@ -110,12 +104,7 @@ Server::Server(lab::Lab& laboratory, const lab::DeploymentHandle& handle, ServeC
       admission_(cfg_.admission) {}
 
 std::uint64_t Server::fingerprint() const {
-  std::uint64_t h = io::config_fingerprint(lab_.config());
-  h = hash_combine(h, crc_of(handle_.deployment.name()));
-  h = hash_combine(h, crc_of(cfg_.world_plan.name));
-  for (const chaos::FaultEvent& e : cfg_.world_plan.events) {
-    h = hash_combine(h, crc_of(chaos::describe(e)));
-  }
+  std::uint64_t h = chaos::plan_fingerprint(lab_, handle_.deployment, cfg_.world_plan);
   h = hash_combine(h, cfg_.faults.fingerprint());
   h = hash_combine(h, cfg_.seed);
   h = hash_combine(h, cfg_.refresh_interval_ns);
@@ -261,8 +250,7 @@ QueryResult Server::query(std::uint64_t client, std::uint64_t now_ns,
   result.rung = ladder_.rung();
   if (result.rung == LadderRung::Reject) {
     result.status = QueryStatus::Rejected;
-    ++stats_.rejected;
-    status_counter(result.status).add();
+    count_outcome(stats_, result.status);
     return result;
   }
   const Admitted admitted =
@@ -270,15 +258,12 @@ QueryResult Server::query(std::uint64_t client, std::uint64_t now_ns,
   switch (admitted.decision) {
     case AdmitDecision::ShedQueue:
       result.status = QueryStatus::ShedQueue;
-      ++stats_.shed_queue;
       break;
     case AdmitDecision::ShedDeadline:
       result.status = QueryStatus::ShedDeadline;
-      ++stats_.shed_deadline;
       break;
     case AdmitDecision::ShedRate:
       result.status = QueryStatus::ShedRate;
-      ++stats_.shed_rate;
       break;
     case AdmitDecision::Admit: {
       std::shared_ptr<const WorldSnapshot> snap;
@@ -295,12 +280,11 @@ QueryResult Server::query(std::uint64_t client, std::uint64_t now_ns,
         result.entry = snap->entries[static_cast<std::size_t>(
             client % snap->entries.size())];
       }
-      ++stats_.served;
       latency_.record_ns(admitted.latency_ns);
       break;
     }
   }
-  status_counter(result.status).add();
+  count_outcome(stats_, result.status);
   return result;
 }
 
@@ -380,7 +364,9 @@ bool Server::load(guard::ByteReader& r) {
   stats_.epochs_published = r.u64();
   stats_.builds_failed = r.u64();
   stats_.world_events_applied = r.u64();
-  if (!r.ok()) return false;
+  // The server's state is the tail of the checkpoint payload: bytes left
+  // over mean a layout this binary does not write.
+  if (!r.ok() || !r.at_end()) return false;
   // Fast-forward the world: re-apply the events the dead process consumed,
   // in order, so the lab reaches the exact state the checkpoint was taken
   // in. The mutations are deterministic; measurements are pure in lab

@@ -1,9 +1,9 @@
 #include "ranycast/serve/snapshot.hpp"
 
+#include <algorithm>
+
 #include "ranycast/core/crc32.hpp"
 #include "ranycast/core/rng.hpp"
-#include "ranycast/dns/resolver.hpp"
-#include "ranycast/exec/pool.hpp"
 
 namespace ranycast::serve {
 
@@ -12,27 +12,7 @@ WorldSnapshot build_snapshot(lab::Lab& laboratory, const lab::DeploymentHandle& 
   WorldSnapshot snap;
   snap.epoch = epoch;
   snap.built_at_ns = built_at_ns;
-  const auto retained = laboratory.census().retained();
-  snap.entries.resize(retained.size());
-  // Each probe's entry is pure in (probe, deployment state), so the fan-out
-  // writes disjoint slots and the snapshot is identical at any worker count.
-  exec::ThreadPool::global().parallel_for(retained.size(), [&](std::size_t i) {
-    const atlas::Probe* p = retained[i];
-    const lab::Lab::DnsAnswer answer =
-        laboratory.dns_lookup(*p, handle, dns::QueryMode::Ldns);
-    MapEntry e;
-    e.address = answer.address.bits();
-    e.region = static_cast<std::uint16_t>(answer.region);
-    e.degraded = answer.degraded;
-    e.site = value(kInvalidSite);
-    if (const auto site = handle.catchment(p->asn, answer.region)) {
-      e.routed = true;
-      e.site = value(*site);
-      const auto rtt = laboratory.ping(*p, answer.address);
-      e.rtt_ms = rtt ? rtt->ms : 0.0;
-    }
-    snap.entries[i] = e;
-  });
+  laboratory.measure(handle, snap.entries);
   snap.fingerprint = snapshot_fingerprint(snap);
   return snap;
 }
@@ -41,7 +21,7 @@ namespace {
 
 void encode_entries(guard::ByteWriter& w, const WorldSnapshot& snapshot) {
   w.u64(snapshot.entries.size());
-  for (const MapEntry& e : snapshot.entries) {
+  for (const lab::Measurement& e : snapshot.entries) {
     w.u32(e.address);
     w.u16(e.region);
     w.u16(e.site);
@@ -67,6 +47,11 @@ void encode_snapshot(guard::ByteWriter& w, const WorldSnapshot& snapshot) {
   w.u64(snapshot.built_at_ns);
   w.u64(snapshot.fingerprint);
   encode_entries(w, snapshot);
+  const auto& rows = snapshot.entries;
+  w.u64(std::count_if(rows.begin(), rows.end(), [](const auto& e) { return e.ping_lost; }));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].ping_lost) w.u32(static_cast<std::uint32_t>(i));
+  }
 }
 
 bool decode_snapshot(guard::ByteReader& r, WorldSnapshot& out) {
@@ -78,7 +63,7 @@ bool decode_snapshot(guard::ByteReader& r, WorldSnapshot& out) {
   out.entries.clear();
   out.entries.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
-    MapEntry e;
+    lab::Measurement e;
     e.address = r.u32();
     e.region = r.u16();
     e.site = r.u16();
@@ -89,7 +74,19 @@ bool decode_snapshot(guard::ByteReader& r, WorldSnapshot& out) {
   }
   // The content fingerprint doubles as an integrity check on top of the
   // checkpoint CRC: a payload that decodes but disagrees is corrupt.
-  return r.ok() && snapshot_fingerprint(out) == out.fingerprint;
+  if (!r.ok() || snapshot_fingerprint(out) != out.fingerprint) return false;
+  // The ping_lost list: strictly ascending indices of routed 0-RTT rows.
+  std::uint64_t lost = r.u64(), next = 0;
+  if (!r.ok() || lost > count) return false;
+  for (; lost > 0; --lost) {
+    const std::uint64_t i = r.u32();
+    if (!r.ok() || i < next || i >= count) return false;
+    lab::Measurement& e = out.entries[i];
+    if (!e.routed || e.rtt_ms != 0.0) return false;
+    e.ping_lost = true;
+    next = i + 1;
+  }
+  return true;
 }
 
 }  // namespace ranycast::serve

@@ -176,5 +176,28 @@ TEST_F(ServerResumeTest, LoadRejectsTruncatedAndCorruptPayloads) {
   EXPECT_FALSE(c.load(r));
 }
 
+TEST(ServerResume, LoadRejectsTrailingBytes) {
+  // The server's state is the tail of a checkpoint payload, so load() must
+  // consume it exactly: an over-long payload is another layout, not this one.
+  lab::Lab lab_a = lab::Lab::create(small_config());
+  Server a(lab_a, lab_a.add_deployment(cdn::catalog::imperva6()), resume_config());
+  ASSERT_TRUE(a.tick(600'000'000).has_value());  // epoch 1 is published
+  ASSERT_EQ(a.current_epoch(), 1u);
+  guard::ByteWriter w;
+  a.save(w);
+  std::vector<std::uint8_t> bytes = w.take();
+
+  lab::Lab lab_b = lab::Lab::create(small_config());
+  Server b(lab_b, lab_b.add_deployment(cdn::catalog::imperva6()), resume_config());
+  guard::ByteReader exact(bytes);
+  ASSERT_TRUE(b.load(exact));
+
+  bytes.push_back(0);
+  lab::Lab lab_c = lab::Lab::create(small_config());
+  Server c(lab_c, lab_c.add_deployment(cdn::catalog::imperva6()), resume_config());
+  guard::ByteReader longer(bytes);
+  EXPECT_FALSE(c.load(longer));
+}
+
 }  // namespace
 }  // namespace ranycast::serve

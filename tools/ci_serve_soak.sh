@@ -19,6 +19,13 @@
 # "resumed" marker and its deduped serve_ladder transition set must equal
 # the baseline's — the degradation ladder's history survives crash-restart.
 #
+# A drifting-world pass follows at 1 and hw workers: the served world
+# drifts through configs/chaos_cascade.json, without the storm so the build
+# timing is fixed. Killed after tick 30, the published epoch carries events
+# 1-3 (measurement_degrade among them): the resume must fast-forward the
+# world and restore the epoch's lost pings, and its answers must equal an
+# uninterrupted run's.
+#
 # Finally the overload gate: a drive offering 2x the admission capacity
 # must keep the served p99 inside the deadline budget and surface the
 # excess as shed queries in the serve_summary journal line.
@@ -46,6 +53,10 @@ THREAD_COUNTS="1 2 $HW"
 # still publishing several epochs to abort inside.
 PROFILE=(drive --stubs 400 --probes 1200 --seed 2023
   --ticks 100 --fault-intensity 0.9 --fault-seed 41)
+
+# The drifting-world profile: no storm, one scenario event per build.
+DRIFT=(drive --stubs 400 --probes 1200 --seed 2023
+  --ticks 100 --scenario "$(dirname "$0")/../configs/chaos_cascade.json")
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
 
@@ -131,9 +142,60 @@ run_soak_for_threads() {
   fi
 }
 
+# last_epoch_events JOURNAL -> world events of the last published epoch
+last_epoch_events() {
+  python3 - "$1" <<'PY'
+import json, sys
+events = None
+with open(sys.argv[1]) as f:
+    for raw in f:
+        e = json.loads(raw)
+        if e.get("type") == "serve_epoch":
+            events = e["world_events"]
+print(events)
+PY
+}
+
+run_drift_for_threads() {
+  local T="$1"
+  local D="$WORKDIR/drift_t$T"
+  mkdir -p "$D"
+  export RANYCAST_THREADS="$T"
+
+  echo "== [$T workers] drifting world: baseline =="
+  "$SERVE" "${DRIFT[@]}" --answers "$D/base.csv" \
+    || fail "[$T] drifting baseline exited $?"
+  [ -s "$D/base.csv" ] || fail "[$T] drifting baseline produced no answers"
+
+  echo "== [$T workers] drifting world: kill after tick 30, resume =="
+  rm -f "$D/kill.ck" "$D/kill.ck.g"* "$D/kill.ndjson" "$D/kill.csv"
+  "$SERVE" "${DRIFT[@]}" --answers "$D/kill.csv" --journal "$D/kill.ndjson" \
+    --checkpoint "$D/kill.ck" --abort-after 30
+  rc=$?
+  [ "$rc" -eq 137 ] || fail "[$T] drifting kill: expected exit 137, got $rc"
+  if command -v python3 >/dev/null 2>&1; then
+    local EVENTS
+    EVENTS=$(last_epoch_events "$D/kill.ndjson") || fail "[$T] drifting journal invalid"
+    [ "$EVENTS" = "3" ] \
+      || fail "[$T] drifting kill: published epoch carries $EVENTS world events, want 3"
+  fi
+  "$SERVE" "${DRIFT[@]}" --answers "$D/kill.csv" --journal "$D/kill.ndjson" \
+    --checkpoint "$D/kill.ck" --resume \
+    || fail "[$T] drifting resume exited $?"
+  cmp "$D/base.csv" "$D/kill.csv" \
+    || fail "[$T] drifting world: resumed answers differ from the baseline"
+  echo "[$T workers] drifting world resumed byte-identically"
+}
+
 for T in $THREAD_COUNTS; do
   run_soak_for_threads "$T"
 done
+
+for T in 1 "$HW"; do
+  run_drift_for_threads "$T"
+done
+cmp "$WORKDIR/drift_t1/base.csv" "$WORKDIR/drift_t$HW/base.csv" \
+  || fail "drifting answers with $HW workers differ from 1 worker"
 
 echo "== worker counts agree =="
 for T in $THREAD_COUNTS; do
@@ -174,4 +236,4 @@ print(f"overload: {served}/{summary['queries']} served, {shed} shed, "
 PY
 fi
 
-echo "OK: serve soak passed (3 kill points x {$THREAD_COUNTS} workers, ladder journal, 2x overload)"
+echo "OK: serve soak passed (3 kill points x {$THREAD_COUNTS} workers, drifting-world resume, ladder journal, 2x overload)"
