@@ -31,8 +31,6 @@ class Cdf {
   /// Sampled (x, F(x)) series for plotting/printing.
   std::vector<std::pair<double, double>> series(double lo, double hi, int points) const;
 
-  std::span<const double> sorted_samples() const noexcept { return samples_; }
-
  private:
   std::vector<double> samples_;  // sorted ascending
 };

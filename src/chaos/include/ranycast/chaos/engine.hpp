@@ -46,6 +46,7 @@
 #include "ranycast/chaos/plan.hpp"
 #include "ranycast/converge/plane.hpp"
 #include "ranycast/core/expected.hpp"
+#include "ranycast/core/fields.hpp"
 #include "ranycast/guard/runtime.hpp"
 #include "ranycast/guard/sweep.hpp"
 #include "ranycast/lab/lab.hpp"
@@ -95,7 +96,34 @@ struct StepReport {
                                 : static_cast<double>(still_served) /
                                       static_cast<double>(affected_probes);
   }
+
+  bool operator==(const StepReport&) const = default;
 };
+
+/// StepReport's field list (core/fields.hpp): its checkpoint record, its
+/// JSON step object (plus the derived churn and survival_rate) and its
+/// chaos_step journal line.
+template <core::RecordOf<StepReport> Self, typename F>
+void for_each_field(Self& s, F&& f) {
+  f("index", s.index);
+  f("event", s.event);
+  f("probes", s.probes);
+  f("routes_before", s.routes_before);
+  f("routes_after", s.routes_after);
+  f("moved", s.moved);
+  f("lost", s.lost);
+  f("gained", s.gained);
+  f("affected_probes", s.affected_probes);
+  f("still_served", s.still_served);
+  f("failover_in_region", s.failover_in_region);
+  f("cross_region", s.cross_region);
+  f("before_p50_ms", s.before_p50_ms);
+  f("before_p90_ms", s.before_p90_ms);
+  f("after_p50_ms", s.after_p50_ms);
+  f("after_p90_ms", s.after_p90_ms);
+  f("degraded_dns_answers", s.degraded_dns_answers);
+  f("lost_pings", s.lost_pings);
+}
 
 struct ChaosReport {
   std::string plan;

@@ -20,243 +20,12 @@ namespace {
 obs::MetricsRegistry& metrics() { return obs::MetricsRegistry::global(); }
 
 // --- checkpoint payload (under the guard envelope) -------------------------
-// u64 step count, then each StepReport field-by-field in declaration order.
-// Doubles travel as raw IEEE-754 bits (ByteWriter::f64), so a loaded report
-// is bit-for-bit the one that was saved — the property the byte-identical
-// resume guarantee rests on.
-
-void write_step(guard::ByteWriter& w, const StepReport& s) {
-  w.u64(s.index);
-  w.str(s.event);
-  w.u64(s.probes);
-  w.u64(s.routes_before);
-  w.u64(s.routes_after);
-  w.u64(s.moved);
-  w.u64(s.lost);
-  w.u64(s.gained);
-  w.u64(s.affected_probes);
-  w.u64(s.still_served);
-  w.u64(s.failover_in_region);
-  w.u64(s.cross_region);
-  w.f64(s.before_p50_ms);
-  w.f64(s.before_p90_ms);
-  w.f64(s.after_p50_ms);
-  w.f64(s.after_p90_ms);
-  w.u64(s.degraded_dns_answers);
-  w.u64(s.lost_pings);
-}
-
-void write_region_transient(guard::ByteWriter& w, const converge::RegionTransient& t) {
-  w.u64(t.events);
-  w.u64(t.updates_sent);
-  w.u64(t.withdrawals_sent);
-  w.u64(t.rib_changes);
-  w.u64(t.converged_us);
-  w.u64(t.last_event_us);
-  w.u64(t.transient_loops);
-  w.u64(t.suppressed);
-  w.u64(t.site_flips);
-  w.u64(t.nodes_changed);
-  w.u64(t.nodes_blackholed);
-  w.u64(t.nodes_dark_at_end);
-  w.u64(t.max_blackhole_us);
-  w.u8(t.oscillating ? 1 : 0);
-  w.u8(t.matches_steady ? 1 : 0);
-  w.u64(t.mismatches);
-}
-
-void write_transient(guard::ByteWriter& w, const converge::StepTransient& s) {
-  w.u64(s.index);
-  w.str(s.event);
-  w.u64(s.regions.size());
-  for (const converge::RegionTransient& t : s.regions) write_region_transient(w, t);
-  w.u64(s.probes);
-  w.u64(s.probes_blackholed);
-  w.u64(s.probes_looped);
-  w.u64(s.probes_flipped);
-  w.u64(s.probes_dark_at_end);
-  w.f64(s.reconverge_p50_ms);
-  w.f64(s.reconverge_p90_ms);
-  w.f64(s.reconverge_max_ms);
-  w.f64(s.blackhole_p50_ms);
-  w.f64(s.blackhole_p90_ms);
-  w.f64(s.blackhole_max_ms);
-  w.u8(s.matches_steady ? 1 : 0);
-  w.u8(s.oscillating ? 1 : 0);
-}
-
-void write_site_load(guard::ByteWriter& w, const traffic::SiteLoad& s) {
-  w.f64(s.capacity_mbps);
-  w.f64(s.offered_mbps);
-  w.f64(s.served_mbps);
-  w.f64(s.shed_out_mbps);
-  w.f64(s.dropped_mbps);
-  w.f64(s.utilization);
-  w.f64(s.queue_delay_ms);
-  w.u64(s.flows_offered);
-  w.u64(s.flows_served);
-  w.u64(s.flows_shed_out);
-  w.u64(s.flows_shed_in);
-  w.u64(s.flows_dropped);
-  w.u8(s.overloaded ? 1 : 0);
-}
-
-void write_traffic(guard::ByteWriter& w, const traffic::StepTraffic& t) {
-  w.u64(t.index);
-  w.str(t.event);
-  w.u64(t.solve.sites.size());
-  for (const traffic::SiteLoad& s : t.solve.sites) write_site_load(w, s);
-  w.f64(t.solve.offered_mbps);
-  w.f64(t.solve.served_mbps);
-  w.f64(t.solve.shed_mbps);
-  w.f64(t.solve.dropped_mbps);
-  w.u64(t.solve.flows_offered);
-  w.u64(t.solve.flows_served);
-  w.u64(t.solve.flows_shed);
-  w.u64(t.solve.flows_dropped);
-  w.u64(t.solve.flows_unrouted);
-  w.f64(t.solve.unrouted_mbps);
-  w.u64(t.solve.overloaded_sites);
-  w.u64(t.solve.cascade_depth);
-  w.f64(t.solve.max_utilization);
-  w.f64(t.solve.mean_utilization);
-  w.f64(t.solve.queue_delay_p50_ms);
-  w.f64(t.solve.queue_delay_p90_ms);
-  w.f64(t.solve.queue_delay_max_ms);
-  w.f64(t.before_max_utilization);
-  w.f64(t.before_mean_utilization);
-  w.u64(t.tipped_sites);
-  w.u64(t.cascade_depth);
-  w.f64(t.inflated_p50_ms);
-  w.f64(t.inflated_p90_ms);
-}
-
-StepReport read_step(guard::ByteReader& r) {
-  StepReport s;
-  s.index = r.u64();
-  s.event = r.str();
-  s.probes = r.u64();
-  s.routes_before = r.u64();
-  s.routes_after = r.u64();
-  s.moved = r.u64();
-  s.lost = r.u64();
-  s.gained = r.u64();
-  s.affected_probes = r.u64();
-  s.still_served = r.u64();
-  s.failover_in_region = r.u64();
-  s.cross_region = r.u64();
-  s.before_p50_ms = r.f64();
-  s.before_p90_ms = r.f64();
-  s.after_p50_ms = r.f64();
-  s.after_p90_ms = r.f64();
-  s.degraded_dns_answers = r.u64();
-  s.lost_pings = r.u64();
-  return s;
-}
-
-traffic::SiteLoad read_site_load(guard::ByteReader& r) {
-  traffic::SiteLoad s;
-  s.capacity_mbps = r.f64();
-  s.offered_mbps = r.f64();
-  s.served_mbps = r.f64();
-  s.shed_out_mbps = r.f64();
-  s.dropped_mbps = r.f64();
-  s.utilization = r.f64();
-  s.queue_delay_ms = r.f64();
-  s.flows_offered = r.u64();
-  s.flows_served = r.u64();
-  s.flows_shed_out = r.u64();
-  s.flows_shed_in = r.u64();
-  s.flows_dropped = r.u64();
-  s.overloaded = r.u8() != 0;
-  return s;
-}
-
-/// nullopt when the site count exceeds the bytes left (each site takes more
-/// than one), so a corrupt count fails the decode instead of the reserve.
-std::optional<traffic::StepTraffic> read_traffic(guard::ByteReader& r) {
-  traffic::StepTraffic t;
-  t.index = r.u64();
-  t.event = r.str();
-  const std::uint64_t sites = r.u64();
-  if (!r.ok() || sites > r.remaining()) return std::nullopt;
-  t.solve.sites.reserve(sites);
-  for (std::uint64_t i = 0; i < sites && r.ok(); ++i) {
-    t.solve.sites.push_back(read_site_load(r));
-  }
-  t.solve.offered_mbps = r.f64();
-  t.solve.served_mbps = r.f64();
-  t.solve.shed_mbps = r.f64();
-  t.solve.dropped_mbps = r.f64();
-  t.solve.flows_offered = r.u64();
-  t.solve.flows_served = r.u64();
-  t.solve.flows_shed = r.u64();
-  t.solve.flows_dropped = r.u64();
-  t.solve.flows_unrouted = r.u64();
-  t.solve.unrouted_mbps = r.f64();
-  t.solve.overloaded_sites = r.u64();
-  t.solve.cascade_depth = r.u64();
-  t.solve.max_utilization = r.f64();
-  t.solve.mean_utilization = r.f64();
-  t.solve.queue_delay_p50_ms = r.f64();
-  t.solve.queue_delay_p90_ms = r.f64();
-  t.solve.queue_delay_max_ms = r.f64();
-  t.before_max_utilization = r.f64();
-  t.before_mean_utilization = r.f64();
-  t.tipped_sites = r.u64();
-  t.cascade_depth = r.u64();
-  t.inflated_p50_ms = r.f64();
-  t.inflated_p90_ms = r.f64();
-  return t;
-}
-
-converge::RegionTransient read_region_transient(guard::ByteReader& r) {
-  converge::RegionTransient t;
-  t.events = r.u64();
-  t.updates_sent = r.u64();
-  t.withdrawals_sent = r.u64();
-  t.rib_changes = r.u64();
-  t.converged_us = r.u64();
-  t.last_event_us = r.u64();
-  t.transient_loops = r.u64();
-  t.suppressed = r.u64();
-  t.site_flips = r.u64();
-  t.nodes_changed = r.u64();
-  t.nodes_blackholed = r.u64();
-  t.nodes_dark_at_end = r.u64();
-  t.max_blackhole_us = r.u64();
-  t.oscillating = r.u8() != 0;
-  t.matches_steady = r.u8() != 0;
-  t.mismatches = r.u64();
-  return t;
-}
-
-/// nullopt when the region count exceeds the bytes left, like read_traffic.
-std::optional<converge::StepTransient> read_transient(guard::ByteReader& r) {
-  converge::StepTransient s;
-  s.index = r.u64();
-  s.event = r.str();
-  const std::uint64_t regions = r.u64();
-  if (!r.ok() || regions > r.remaining()) return std::nullopt;
-  s.regions.reserve(regions);
-  for (std::uint64_t i = 0; i < regions && r.ok(); ++i) {
-    s.regions.push_back(read_region_transient(r));
-  }
-  s.probes = r.u64();
-  s.probes_blackholed = r.u64();
-  s.probes_looped = r.u64();
-  s.probes_flipped = r.u64();
-  s.probes_dark_at_end = r.u64();
-  s.reconverge_p50_ms = r.f64();
-  s.reconverge_p90_ms = r.f64();
-  s.reconverge_max_ms = r.f64();
-  s.blackhole_p50_ms = r.f64();
-  s.blackhole_p90_ms = r.f64();
-  s.blackhole_max_ms = r.f64();
-  s.matches_steady = r.u8() != 0;
-  s.oscillating = r.u8() != 0;
-  return s;
-}
+// The step list, then the transient list when the plane is on, then the
+// traffic list when traffic is on: each a u64 count and its records, each
+// record its field list in declaration order (guard::write_fields). Doubles
+// travel as raw IEEE-754 bits, so a loaded report is bit-for-bit the one
+// that was saved — the property the byte-identical resume guarantee rests
+// on.
 
 /// Thrown out of the sweep's process hook on an unappliable event; caught
 /// in run_guarded and converted back into the Expected error channel.
@@ -273,21 +42,8 @@ void journal_step(const StepReport& s, std::uint64_t dur_ns,
                   const std::optional<bgp::DeltaStats>& delta) {
   if (obs::journal() == nullptr) return;
   using F = obs::JournalField;
-  std::vector<F> fields{
-      F::u64_field("index", s.index), F::str("event", s.event),
-      F::u64_field("probes", s.probes), F::u64_field("routes_before", s.routes_before),
-      F::u64_field("routes_after", s.routes_after), F::u64_field("moved", s.moved),
-      F::u64_field("lost", s.lost), F::u64_field("gained", s.gained),
-      F::u64_field("affected_probes", s.affected_probes),
-      F::u64_field("still_served", s.still_served),
-      F::u64_field("failover_in_region", s.failover_in_region),
-      F::u64_field("cross_region", s.cross_region),
-      F::f64_field("before_p50_ms", s.before_p50_ms),
-      F::f64_field("before_p90_ms", s.before_p90_ms),
-      F::f64_field("after_p50_ms", s.after_p50_ms),
-      F::f64_field("after_p90_ms", s.after_p90_ms),
-      F::u64_field("degraded_dns_answers", s.degraded_dns_answers),
-      F::u64_field("lost_pings", s.lost_pings), F::u64_field("dur_ns", dur_ns)};
+  std::vector<F> fields = obs::journal_fields(s);
+  fields.push_back(F::u64_field("dur_ns", dur_ns));
   // Re-solve accounting, present on routing steps only.
   if (delta) {
     fields.push_back(F::u64_field("delta_affected_ases", delta->affected_ases));
@@ -928,33 +684,17 @@ core::Expected<GuardedChaosRun, std::string> Engine::run_guarded(
     report.steps.push_back(std::move(*step));
   };
   hooks.save = [&](guard::ByteWriter& w) {
-    w.u64(report.steps.size());
-    for (const StepReport& s : report.steps) write_step(w, s);
-    if (transient_cfg_) {
-      w.u64(report.transient.size());
-      for (const converge::StepTransient& t : report.transient) write_transient(w, t);
-    }
-    if (traffic_cfg_) {
-      w.u64(report.traffic.size());
-      for (const traffic::StepTraffic& t : report.traffic) write_traffic(w, t);
-    }
+    guard::write_fields(w, report.steps);
+    if (transient_cfg_) guard::write_fields(w, report.transient);
+    if (traffic_cfg_) guard::write_fields(w, report.traffic);
   };
   hooks.load = [&](guard::ByteReader& r) {
-    const std::uint64_t count = r.u64();
-    if (!r.ok() || count > plan.events.size()) return false;
-    report.steps.clear();
-    report.steps.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) report.steps.push_back(read_step(r));
-    if (!r.ok()) return false;
+    if (!guard::read_fields(r, report.steps)) return false;
+    const std::size_t count = report.steps.size();
+    if (count > plan.events.size()) return false;
     if (transient_cfg_) {
-      const std::uint64_t tcount = r.u64();
-      if (!r.ok() || tcount != count) return false;
-      report.transient.clear();
-      report.transient.reserve(tcount);
-      for (std::uint64_t i = 0; i < tcount; ++i) {
-        auto t = read_transient(r);
-        if (!t) return false;
-        report.transient.push_back(std::move(*t));
+      if (!guard::read_fields(r, report.transient) || report.transient.size() != count) {
+        return false;
       }
       // An oscillation-truncated step leaves the convergence plane in a
       // mid-flight state that the *next* step repairs with an in-step
@@ -966,14 +706,8 @@ core::Expected<GuardedChaosRun, std::string> Engine::run_guarded(
       }
     }
     if (traffic_cfg_) {
-      const std::uint64_t tcount = r.u64();
-      if (!r.ok() || tcount != count) return false;
-      report.traffic.clear();
-      report.traffic.reserve(tcount);
-      for (std::uint64_t i = 0; i < tcount; ++i) {
-        auto t = read_traffic(r);
-        if (!t) return false;
-        report.traffic.push_back(std::move(*t));
+      if (!guard::read_fields(r, report.traffic) || report.traffic.size() != count) {
+        return false;
       }
       // The surge scale and flow cache are rebuilt by the fast-forward
       // replay below (traffic_surge events are appliable mutations like any
@@ -988,7 +722,7 @@ core::Expected<GuardedChaosRun, std::string> Engine::run_guarded(
     // the exact state the checkpoint was taken in. No re-measurement — the
     // measurement passes read lab state but never change it, so mutations
     // alone (with the original tie-break salts inside resolve()) are enough.
-    for (std::uint64_t i = 0; i < count; ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
       if (!apply(plan.events[i]).empty()) return false;
     }
     return true;

@@ -237,28 +237,10 @@ core::Expected<FaultPlan, io::ConfigError> load_plan(const std::string& path) {
 io::Json report_to_json(const ChaosReport& report) {
   io::JsonArray steps;
   for (const StepReport& s : report.steps) {
-    steps.push_back(io::Json(io::JsonObject{
-        {"index", io::Json(static_cast<std::int64_t>(s.index))},
-        {"event", io::Json(s.event)},
-        {"probes", io::Json(static_cast<std::int64_t>(s.probes))},
-        {"routes_before", io::Json(static_cast<std::int64_t>(s.routes_before))},
-        {"routes_after", io::Json(static_cast<std::int64_t>(s.routes_after))},
-        {"moved", io::Json(static_cast<std::int64_t>(s.moved))},
-        {"lost", io::Json(static_cast<std::int64_t>(s.lost))},
-        {"gained", io::Json(static_cast<std::int64_t>(s.gained))},
-        {"churn", io::Json(s.churn())},
-        {"affected_probes", io::Json(static_cast<std::int64_t>(s.affected_probes))},
-        {"still_served", io::Json(static_cast<std::int64_t>(s.still_served))},
-        {"survival_rate", io::Json(s.survival_rate())},
-        {"failover_in_region", io::Json(static_cast<std::int64_t>(s.failover_in_region))},
-        {"cross_region", io::Json(static_cast<std::int64_t>(s.cross_region))},
-        {"before_p50_ms", io::Json(s.before_p50_ms)},
-        {"before_p90_ms", io::Json(s.before_p90_ms)},
-        {"after_p50_ms", io::Json(s.after_p50_ms)},
-        {"after_p90_ms", io::Json(s.after_p90_ms)},
-        {"degraded_dns_answers", io::Json(static_cast<std::int64_t>(s.degraded_dns_answers))},
-        {"lost_pings", io::Json(static_cast<std::int64_t>(s.lost_pings))},
-    }));
+    io::Json step = io::to_json(s);
+    step.as_object().emplace("churn", s.churn());
+    step.as_object().emplace("survival_rate", s.survival_rate());
+    steps.push_back(std::move(step));
   }
   io::JsonObject out{
       {"plan", io::Json(report.plan)},

@@ -53,7 +53,32 @@ struct StepTransient {
 
   bool matches_steady{true};  ///< every region quiesced onto the solver's answer
   bool oscillating{false};    ///< any region hit its event budget
+
+  bool operator==(const StepTransient&) const = default;
 };
+
+/// StepTransient's field list (core/fields.hpp): its checkpoint record, its
+/// JSON object and its transient_window journal line (which skips regions
+/// and appends a compact envelope of its own).
+template <core::RecordOf<StepTransient> Self, typename F>
+void for_each_field(Self& s, F&& f) {
+  f("index", s.index);
+  f("event", s.event);
+  f("regions", s.regions);
+  f("probes", s.probes);
+  f("probes_blackholed", s.probes_blackholed);
+  f("probes_looped", s.probes_looped);
+  f("probes_flipped", s.probes_flipped);
+  f("probes_dark_at_end", s.probes_dark_at_end);
+  f("reconverge_p50_ms", s.reconverge_p50_ms);
+  f("reconverge_p90_ms", s.reconverge_p90_ms);
+  f("reconverge_max_ms", s.reconverge_max_ms);
+  f("blackhole_p50_ms", s.blackhole_p50_ms);
+  f("blackhole_p90_ms", s.blackhole_p90_ms);
+  f("blackhole_max_ms", s.blackhole_max_ms);
+  f("matches_steady", s.matches_steady);
+  f("oscillating", s.oscillating);
+}
 
 /// Snapshot of a deployment's origination state, per region — the input to
 /// diff_origins. Captured before and after the engine applies a fault.

@@ -7,7 +7,7 @@
 
 namespace ranycast::converge {
 
-io::Json region_to_json(const RegionTransient& r);
+/// The record's JSON object: its field list through io::to_json.
 io::Json transient_to_json(const StepTransient& s);
 
 }  // namespace ranycast::converge

@@ -31,6 +31,7 @@
 #include "ranycast/bgp/route.hpp"
 #include "ranycast/bgp/rules.hpp"
 #include "ranycast/converge/config.hpp"
+#include "ranycast/core/fields.hpp"
 #include "ranycast/topo/graph.hpp"
 
 namespace ranycast::converge {
@@ -85,7 +86,31 @@ struct RegionTransient {
   // Differential check vs the steady-state solver, filled by Plane::step.
   bool matches_steady{true};
   std::uint64_t mismatches{0};
+
+  bool operator==(const RegionTransient&) const = default;
 };
+
+/// RegionTransient's field list (core/fields.hpp): an element of
+/// StepTransient's regions.
+template <core::RecordOf<RegionTransient> Self, typename F>
+void for_each_field(Self& t, F&& f) {
+  f("events", t.events);
+  f("updates_sent", t.updates_sent);
+  f("withdrawals_sent", t.withdrawals_sent);
+  f("rib_changes", t.rib_changes);
+  f("converged_us", t.converged_us);
+  f("last_event_us", t.last_event_us);
+  f("transient_loops", t.transient_loops);
+  f("suppressed", t.suppressed);
+  f("site_flips", t.site_flips);
+  f("nodes_changed", t.nodes_changed);
+  f("nodes_blackholed", t.nodes_blackholed);
+  f("nodes_dark_at_end", t.nodes_dark_at_end);
+  f("max_blackhole_us", t.max_blackhole_us);
+  f("oscillating", t.oscillating);
+  f("matches_steady", t.matches_steady);
+  f("mismatches", t.mismatches);
+}
 
 namespace detail {
 /// Walk a forwarding next-hop array from `start` (-1 = no route, -2 =

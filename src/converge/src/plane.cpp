@@ -128,8 +128,9 @@ StepTransient Plane::step(std::size_t index, std::string event,
 
   if (obs::journal() != nullptr) {
     using F = obs::JournalField;
-    // Per-region convergence/blackhole envelope (virtual µs), which the
-    // trace exporter renders as async blackhole windows.
+    // The record's scalar fields, then a compact per-region convergence/
+    // blackhole envelope (virtual µs), which the trace exporter renders as
+    // async blackhole windows.
     std::string regions_json = "[";
     for (std::size_t r = 0; r < out.regions.size(); ++r) {
       const RegionTransient& rt = out.regions[r];
@@ -140,23 +141,9 @@ StepTransient Plane::step(std::size_t index, std::string event,
                       ",\"blackholed\":" + std::to_string(rt.nodes_blackholed) + "}";
     }
     regions_json += ']';
-    obs::journal_event(
-        "transient_window",
-        {F::u64_field("index", out.index), F::str("event", out.event),
-         F::u64_field("probes", out.probes),
-         F::u64_field("probes_blackholed", out.probes_blackholed),
-         F::u64_field("probes_looped", out.probes_looped),
-         F::u64_field("probes_flipped", out.probes_flipped),
-         F::u64_field("probes_dark_at_end", out.probes_dark_at_end),
-         F::f64_field("reconverge_p50_ms", out.reconverge_p50_ms),
-         F::f64_field("reconverge_p90_ms", out.reconverge_p90_ms),
-         F::f64_field("reconverge_max_ms", out.reconverge_max_ms),
-         F::f64_field("blackhole_p50_ms", out.blackhole_p50_ms),
-         F::f64_field("blackhole_p90_ms", out.blackhole_p90_ms),
-         F::f64_field("blackhole_max_ms", out.blackhole_max_ms),
-         F::bool_field("matches_steady", out.matches_steady),
-         F::bool_field("oscillating", out.oscillating),
-         F::raw("regions", std::move(regions_json))});
+    std::vector<F> fields = obs::journal_fields(out);
+    fields.push_back(F::raw("regions", std::move(regions_json)));
+    obs::journal_event("transient_window", fields);
   }
   return out;
 }

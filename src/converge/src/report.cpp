@@ -2,53 +2,6 @@
 
 namespace ranycast::converge {
 
-namespace {
-std::int64_t i64(std::uint64_t v) { return static_cast<std::int64_t>(v); }
-}  // namespace
-
-io::Json region_to_json(const RegionTransient& r) {
-  io::JsonObject o;
-  o["events"] = i64(r.events);
-  o["updates_sent"] = i64(r.updates_sent);
-  o["withdrawals_sent"] = i64(r.withdrawals_sent);
-  o["rib_changes"] = i64(r.rib_changes);
-  o["converged_us"] = i64(r.converged_us);
-  o["last_event_us"] = i64(r.last_event_us);
-  o["transient_loops"] = i64(r.transient_loops);
-  o["suppressed"] = i64(r.suppressed);
-  o["site_flips"] = i64(r.site_flips);
-  o["nodes_changed"] = i64(r.nodes_changed);
-  o["nodes_blackholed"] = i64(r.nodes_blackholed);
-  o["nodes_dark_at_end"] = i64(r.nodes_dark_at_end);
-  o["max_blackhole_us"] = i64(r.max_blackhole_us);
-  o["oscillating"] = r.oscillating;
-  o["matches_steady"] = r.matches_steady;
-  o["mismatches"] = i64(r.mismatches);
-  return io::Json(std::move(o));
-}
-
-io::Json transient_to_json(const StepTransient& s) {
-  io::JsonObject o;
-  o["index"] = static_cast<std::int64_t>(s.index);
-  o["event"] = s.event;
-  io::JsonArray regions;
-  regions.reserve(s.regions.size());
-  for (const RegionTransient& r : s.regions) regions.push_back(region_to_json(r));
-  o["regions"] = io::Json(std::move(regions));
-  o["probes"] = i64(s.probes);
-  o["probes_blackholed"] = i64(s.probes_blackholed);
-  o["probes_looped"] = i64(s.probes_looped);
-  o["probes_flipped"] = i64(s.probes_flipped);
-  o["probes_dark_at_end"] = i64(s.probes_dark_at_end);
-  o["reconverge_p50_ms"] = s.reconverge_p50_ms;
-  o["reconverge_p90_ms"] = s.reconverge_p90_ms;
-  o["reconverge_max_ms"] = s.reconverge_max_ms;
-  o["blackhole_p50_ms"] = s.blackhole_p50_ms;
-  o["blackhole_p90_ms"] = s.blackhole_p90_ms;
-  o["blackhole_max_ms"] = s.blackhole_max_ms;
-  o["matches_steady"] = s.matches_steady;
-  o["oscillating"] = s.oscillating;
-  return io::Json(std::move(o));
-}
+io::Json transient_to_json(const StepTransient& s) { return io::to_json(s); }
 
 }  // namespace ranycast::converge

@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <limits>
 #include <optional>
 #include <string_view>
 
@@ -52,11 +51,6 @@ class Deadline {
 
   bool set() const noexcept { return at_.has_value(); }
   bool expired() const noexcept { return at_ && std::chrono::steady_clock::now() >= *at_; }
-  /// Seconds until expiry (negative once expired); +inf when unset.
-  double remaining_seconds() const noexcept {
-    if (!at_) return std::numeric_limits<double>::infinity();
-    return std::chrono::duration<double>(*at_ - std::chrono::steady_clock::now()).count();
-  }
 
  private:
   std::optional<std::chrono::steady_clock::time_point> at_;

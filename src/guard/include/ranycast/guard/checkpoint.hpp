@@ -14,6 +14,7 @@
 // into place, so a crash mid-write leaves the previous checkpoint intact.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "ranycast/core/expected.hpp"
+#include "ranycast/core/fields.hpp"
 #include "ranycast/guard/error.hpp"
 
 namespace ranycast::guard {
@@ -91,6 +93,12 @@ class ByteReader {
   bool ok() const noexcept { return ok_; }
   bool at_end() const noexcept { return pos_ == data_.size(); }
   std::size_t remaining() const noexcept { return data_.size() - pos_; }
+  /// Latch not-ok, as a short read does: for a value that decoded but is
+  /// out of range.
+  void fail() noexcept {
+    ok_ = false;
+    pos_ = data_.size();
+  }
 
  private:
   template <typename T>
@@ -112,6 +120,58 @@ class ByteReader {
   std::size_t pos_{0};
   bool ok_{true};
 };
+
+/// A report record's fields (core/fields.hpp) in list order: integers as
+/// u64, bools as u8, doubles as raw bits, strings length-prefixed, a vector
+/// as a u64 count then its elements, a nested record inline.
+template <typename T>
+void write_fields(ByteWriter& w, const T& v) {
+  if constexpr (std::same_as<T, bool>) {
+    w.u8(v ? 1 : 0);
+  } else if constexpr (std::unsigned_integral<T>) {
+    w.u64(v);
+  } else if constexpr (std::same_as<T, double>) {
+    w.f64(v);
+  } else if constexpr (std::same_as<T, std::string>) {
+    w.str(v);
+  } else if constexpr (core::RecordVector<T>) {
+    w.u64(v.size());
+    for (const auto& e : v) write_fields(w, e);
+  } else {
+    static_assert(core::Record<T>, "not a report record field");
+    for_each_field(v, [&w](std::string_view, const auto& m) { write_fields(w, m); });
+  }
+}
+
+/// Reads what write_fields wrote; a bool reads back as nonzero. A vector
+/// count larger than the bytes left fails the read (every element takes at
+/// least one byte), so a corrupt count cannot reach the reserve. Returns
+/// r.ok().
+template <typename T>
+bool read_fields(ByteReader& r, T& v) {
+  if constexpr (std::same_as<T, bool>) {
+    v = r.u8() != 0;
+  } else if constexpr (std::unsigned_integral<T>) {
+    v = static_cast<T>(r.u64());
+  } else if constexpr (std::same_as<T, double>) {
+    v = r.f64();
+  } else if constexpr (std::same_as<T, std::string>) {
+    v = r.str();
+  } else if constexpr (core::RecordVector<T>) {
+    const std::uint64_t count = r.u64();
+    if (count > r.remaining()) {
+      r.fail();
+      return false;
+    }
+    v.clear();
+    v.reserve(static_cast<std::size_t>(count));
+    for (std::uint64_t i = 0; i < count && r.ok(); ++i) read_fields(r, v.emplace_back());
+  } else {
+    static_assert(core::Record<T>, "not a report record field");
+    for_each_field(v, [&r](std::string_view, auto& m) { read_fields(r, m); });
+  }
+  return r.ok();
+}
 
 /// Header facts of a validated envelope (CRC, magic and version already
 /// checked; kind and fingerprint NOT matched against any expectation).
@@ -150,9 +210,6 @@ core::Expected<std::monostate, GuardError> write_checkpoint(
 /// policy path, and how `ranycast-flight verify` inspects without a run.
 core::Expected<InspectedCheckpoint, GuardError> read_checkpoint_unchecked(
     const std::string& path);
-
-/// Header facts only; same validation as read_checkpoint_unchecked.
-core::Expected<CheckpointInfo, GuardError> inspect_checkpoint(const std::string& path);
 
 /// Read and fully validate a checkpoint; returns the payload bytes.
 /// Rejects everything read_checkpoint_unchecked rejects, plus a mismatched

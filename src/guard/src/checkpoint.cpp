@@ -146,12 +146,6 @@ core::Expected<InspectedCheckpoint, GuardError> read_checkpoint_unchecked(
   return out;
 }
 
-core::Expected<CheckpointInfo, GuardError> inspect_checkpoint(const std::string& path) {
-  auto inspected = read_checkpoint_unchecked(path);
-  if (!inspected) return core::unexpected(std::move(inspected).error());
-  return inspected->info;
-}
-
 core::Expected<std::vector<std::uint8_t>, GuardError> read_checkpoint(
     const std::string& path, CheckpointKind expected_kind,
     std::uint64_t expected_fingerprint) {

@@ -5,6 +5,7 @@
 // and precise error positions. No external dependencies.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -13,6 +14,8 @@
 #include <string_view>
 #include <variant>
 #include <vector>
+
+#include "ranycast/core/fields.hpp"
 
 namespace ranycast::io {
 
@@ -70,6 +73,30 @@ struct JsonParseError {
   std::size_t position{0};
   std::string message;
 };
+
+/// A report record (core/fields.hpp) as an object keyed by field name:
+/// integers as int64, nested records as objects, vectors as arrays.
+template <typename T>
+Json to_json(const T& v) {
+  if constexpr (std::same_as<T, bool> || std::same_as<T, double> ||
+                std::same_as<T, std::string>) {
+    return Json(v);
+  } else if constexpr (std::unsigned_integral<T>) {
+    return Json(static_cast<std::int64_t>(v));
+  } else if constexpr (core::RecordVector<T>) {
+    JsonArray out;
+    out.reserve(v.size());
+    for (const auto& e : v) out.push_back(to_json(e));
+    return Json(std::move(out));
+  } else {
+    static_assert(core::Record<T>, "not a report record field");
+    JsonObject out;
+    for_each_field(v, [&out](std::string_view name, const auto& m) {
+      out.emplace(std::string(name), to_json(m));
+    });
+    return Json(std::move(out));
+  }
+}
 
 /// Parse a complete JSON document; trailing garbage is an error.
 std::variant<Json, JsonParseError> parse_json(std::string_view text);

@@ -189,9 +189,6 @@ class Lab {
   void set_measurement_faults(std::optional<MeasurementFaults> faults) noexcept {
     measurement_faults_ = faults;
   }
-  const std::optional<MeasurementFaults>& measurement_faults() const noexcept {
-    return measurement_faults_;
-  }
 
   /// Solve an ad-hoc origination (used for per-site unicast emulation).
   bgp::RoutingOutcome solve_origins(Asn cdn_asn,

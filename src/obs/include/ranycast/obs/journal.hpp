@@ -25,11 +25,13 @@
 // plans can torture the journal path too.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "ranycast/core/fields.hpp"
 #include "ranycast/vfs/vfs.hpp"
 
 namespace ranycast::obs {
@@ -58,6 +60,28 @@ struct JournalField {
   /// it is spliced into the line verbatim.
   static JournalField raw(std::string key, std::string json);
 };
+
+/// A report record's scalar fields (core/fields.hpp) in list order:
+/// integers as u64, doubles as f64, bools and strings. Vectors are skipped.
+template <core::Record R>
+std::vector<JournalField> journal_fields(const R& record) {
+  std::vector<JournalField> out;
+  for_each_field(record, [&out](std::string_view name, const auto& v) {
+    using T = std::remove_cvref_t<decltype(v)>;
+    if constexpr (std::same_as<T, bool>) {
+      out.push_back(JournalField::bool_field(std::string(name), v));
+    } else if constexpr (std::unsigned_integral<T>) {
+      out.push_back(JournalField::u64_field(std::string(name), v));
+    } else if constexpr (std::same_as<T, double>) {
+      out.push_back(JournalField::f64_field(std::string(name), v));
+    } else if constexpr (std::same_as<T, std::string>) {
+      out.push_back(JournalField::str(std::string(name), v));
+    } else {
+      static_assert(core::RecordVector<T>, "journal lines carry scalars and skip vectors");
+    }
+  });
+  return out;
+}
 
 /// Append-only NDJSON writer over a POSIX fd. Not copyable; movable.
 class Journal {

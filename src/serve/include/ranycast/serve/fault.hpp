@@ -22,8 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "ranycast/guard/checkpoint.hpp"
-
 namespace ranycast::serve {
 
 enum class ServeFaultKind : std::uint8_t {
@@ -67,9 +65,6 @@ struct FaultPlan {
   /// Mix every event into a checkpoint fingerprint (a resumed run under a
   /// different fault plan is a different experiment).
   std::uint64_t fingerprint() const noexcept;
-
-  void encode(guard::ByteWriter& w) const;
-  bool decode(guard::ByteReader& r);
 
   /// A seeded storm over [0, horizon): alternating build failures, stalls,
   /// slow-query bursts and skew steps whose density scales with `intensity`

@@ -37,6 +37,7 @@
 #include "ranycast/chaos/engine.hpp"
 #include "ranycast/chaos/plan.hpp"
 #include "ranycast/core/expected.hpp"
+#include "ranycast/core/fields.hpp"
 #include "ranycast/guard/checkpoint.hpp"
 #include "ranycast/lab/lab.hpp"
 #include "ranycast/serve/admission.hpp"
@@ -121,7 +122,24 @@ struct ServeStats {
   std::uint64_t epochs_published{0};
   std::uint64_t builds_failed{0};
   std::uint64_t world_events_applied{0};
+
+  bool operator==(const ServeStats&) const = default;
 };
+
+/// ServeStats' field list (core/fields.hpp): the stats block at the end of
+/// Server::save.
+template <core::RecordOf<ServeStats> Self, typename F>
+void for_each_field(Self& s, F&& f) {
+  f("queries", s.queries);
+  f("served", s.served);
+  f("shed_queue", s.shed_queue);
+  f("shed_deadline", s.shed_deadline);
+  f("shed_rate", s.shed_rate);
+  f("rejected", s.rejected);
+  f("epochs_published", s.epochs_published);
+  f("builds_failed", s.builds_failed);
+  f("world_events_applied", s.world_events_applied);
+}
 
 class Server {
  public:

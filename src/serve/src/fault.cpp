@@ -84,38 +84,6 @@ std::uint64_t FaultPlan::fingerprint() const noexcept {
   return h;
 }
 
-void FaultPlan::encode(guard::ByteWriter& w) const {
-  w.u64(seed);
-  w.u64(events.size());
-  for (const ServeFaultEvent& e : events) {
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    w.u64(e.at_ns);
-    w.u64(e.duration_ns);
-    w.u64(e.extra_ns);
-    w.u64(static_cast<std::uint64_t>(e.skew_ns));
-  }
-}
-
-bool FaultPlan::decode(guard::ByteReader& r) {
-  seed = r.u64();
-  const std::uint64_t count = r.u64();
-  if (!r.ok() || count > r.remaining()) return false;
-  events.clear();
-  events.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ServeFaultEvent e;
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(ServeFaultKind::ClockSkew)) return false;
-    e.kind = static_cast<ServeFaultKind>(kind);
-    e.at_ns = r.u64();
-    e.duration_ns = r.u64();
-    e.extra_ns = r.u64();
-    e.skew_ns = static_cast<std::int64_t>(r.u64());
-    events.push_back(e);
-  }
-  return r.ok();
-}
-
 FaultPlan FaultPlan::storm(std::uint64_t seed, std::uint64_t horizon_ns,
                            double intensity) {
   FaultPlan plan;

@@ -326,15 +326,7 @@ void Server::save(guard::ByteWriter& w) const {
   ladder_.encode(w);
   admission_.encode(w);
   latency_.encode(w);
-  w.u64(stats_.queries);
-  w.u64(stats_.served);
-  w.u64(stats_.shed_queue);
-  w.u64(stats_.shed_deadline);
-  w.u64(stats_.shed_rate);
-  w.u64(stats_.rejected);
-  w.u64(stats_.epochs_published);
-  w.u64(stats_.builds_failed);
-  w.u64(stats_.world_events_applied);
+  guard::write_fields(w, stats_);
 }
 
 bool Server::load(guard::ByteReader& r) {
@@ -355,15 +347,7 @@ bool Server::load(guard::ByteReader& r) {
     restored = std::move(snap);
   }
   if (!ladder_.decode(r) || !admission_.decode(r) || !latency_.decode(r)) return false;
-  stats_.queries = r.u64();
-  stats_.served = r.u64();
-  stats_.shed_queue = r.u64();
-  stats_.shed_deadline = r.u64();
-  stats_.shed_rate = r.u64();
-  stats_.rejected = r.u64();
-  stats_.epochs_published = r.u64();
-  stats_.builds_failed = r.u64();
-  stats_.world_events_applied = r.u64();
+  guard::read_fields(r, stats_);
   // The server's state is the tail of the checkpoint payload: bytes left
   // over mean a layout this binary does not write.
   if (!r.ok() || !r.at_end()) return false;

@@ -33,9 +33,28 @@ struct StepTraffic {
   /// (steady after_p50_ms/after_p90_ms measure propagation alone).
   double inflated_p50_ms{0.0};
   double inflated_p90_ms{0.0};
+
+  bool operator==(const StepTraffic&) const = default;
 };
 
-io::Json solve_to_json(const TrafficSolve& s);
+/// StepTraffic's field list (core/fields.hpp): its checkpoint record, with
+/// the solve written inline, and its JSON object. The traffic_step journal
+/// line is a hand-picked subset: its cascade_depth is this record's, not
+/// the solve's.
+template <core::RecordOf<StepTraffic> Self, typename F>
+void for_each_field(Self& t, F&& f) {
+  f("index", t.index);
+  f("event", t.event);
+  f("solve", t.solve);
+  f("before_max_utilization", t.before_max_utilization);
+  f("before_mean_utilization", t.before_mean_utilization);
+  f("tipped_sites", t.tipped_sites);
+  f("cascade_depth", t.cascade_depth);
+  f("inflated_p50_ms", t.inflated_p50_ms);
+  f("inflated_p90_ms", t.inflated_p90_ms);
+}
+
+/// The record's JSON object, each site's with its position as "site".
 io::Json step_to_json(const StepTraffic& s);
 
 }  // namespace ranycast::traffic

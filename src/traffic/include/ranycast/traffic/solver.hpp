@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "ranycast/core/fields.hpp"
 #include "ranycast/core/types.hpp"
 #include "ranycast/traffic/flows.hpp"
 #include "ranycast/traffic/model.hpp"
@@ -44,7 +45,28 @@ struct SiteLoad {
   std::size_t flows_shed_in{0};
   std::size_t flows_dropped{0};
   bool overloaded{false};  ///< past the admission threshold (or capacity 0 with demand)
+
+  bool operator==(const SiteLoad&) const = default;
 };
+
+/// SiteLoad's field list (core/fields.hpp). Its JSON object also carries
+/// the site's position as "site", added by traffic::step_to_json.
+template <core::RecordOf<SiteLoad> Self, typename F>
+void for_each_field(Self& s, F&& f) {
+  f("capacity_mbps", s.capacity_mbps);
+  f("offered_mbps", s.offered_mbps);
+  f("served_mbps", s.served_mbps);
+  f("shed_out_mbps", s.shed_out_mbps);
+  f("dropped_mbps", s.dropped_mbps);
+  f("utilization", s.utilization);
+  f("queue_delay_ms", s.queue_delay_ms);
+  f("flows_offered", s.flows_offered);
+  f("flows_served", s.flows_served);
+  f("flows_shed_out", s.flows_shed_out);
+  f("flows_shed_in", s.flows_shed_in);
+  f("flows_dropped", s.flows_dropped);
+  f("overloaded", s.overloaded);
+}
 
 struct TrafficSolve {
   std::vector<SiteLoad> sites;
@@ -72,7 +94,32 @@ struct TrafficSolve {
   double queue_delay_p50_ms{0.0};
   double queue_delay_p90_ms{0.0};
   double queue_delay_max_ms{0.0};
+
+  bool operator==(const TrafficSolve&) const = default;
 };
+
+/// TrafficSolve's field list (core/fields.hpp): nested inline in StepTraffic.
+template <core::RecordOf<TrafficSolve> Self, typename F>
+void for_each_field(Self& s, F&& f) {
+  f("sites", s.sites);
+  f("offered_mbps", s.offered_mbps);
+  f("served_mbps", s.served_mbps);
+  f("shed_mbps", s.shed_mbps);
+  f("dropped_mbps", s.dropped_mbps);
+  f("flows_offered", s.flows_offered);
+  f("flows_served", s.flows_served);
+  f("flows_shed", s.flows_shed);
+  f("flows_dropped", s.flows_dropped);
+  f("flows_unrouted", s.flows_unrouted);
+  f("unrouted_mbps", s.unrouted_mbps);
+  f("overloaded_sites", s.overloaded_sites);
+  f("cascade_depth", s.cascade_depth);
+  f("max_utilization", s.max_utilization);
+  f("mean_utilization", s.mean_utilization);
+  f("queue_delay_p50_ms", s.queue_delay_p50_ms);
+  f("queue_delay_p90_ms", s.queue_delay_p90_ms);
+  f("queue_delay_max_ms", s.queue_delay_max_ms);
+}
 
 /// The M/M/1 wait-time inflation for one site. Monotone non-decreasing in
 /// utilization; finite for every input (rho clamps to max_rho, non-positive

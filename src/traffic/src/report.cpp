@@ -2,66 +2,13 @@
 
 namespace ranycast::traffic {
 
-namespace {
-std::int64_t i64(std::size_t v) { return static_cast<std::int64_t>(v); }
-}  // namespace
-
-io::Json solve_to_json(const TrafficSolve& s) {
-  io::JsonArray sites;
-  sites.reserve(s.sites.size());
-  for (std::size_t i = 0; i < s.sites.size(); ++i) {
-    const SiteLoad& site = s.sites[i];
-    sites.push_back(io::Json(io::JsonObject{
-        {"site", io::Json(static_cast<std::int64_t>(i))},
-        {"capacity_mbps", io::Json(site.capacity_mbps)},
-        {"offered_mbps", io::Json(site.offered_mbps)},
-        {"served_mbps", io::Json(site.served_mbps)},
-        {"shed_out_mbps", io::Json(site.shed_out_mbps)},
-        {"dropped_mbps", io::Json(site.dropped_mbps)},
-        {"utilization", io::Json(site.utilization)},
-        {"queue_delay_ms", io::Json(site.queue_delay_ms)},
-        {"flows_offered", io::Json(i64(site.flows_offered))},
-        {"flows_served", io::Json(i64(site.flows_served))},
-        {"flows_shed_out", io::Json(i64(site.flows_shed_out))},
-        {"flows_shed_in", io::Json(i64(site.flows_shed_in))},
-        {"flows_dropped", io::Json(i64(site.flows_dropped))},
-        {"overloaded", io::Json(site.overloaded)},
-    }));
-  }
-  return io::Json(io::JsonObject{
-      {"sites", io::Json(std::move(sites))},
-      {"offered_mbps", io::Json(s.offered_mbps)},
-      {"served_mbps", io::Json(s.served_mbps)},
-      {"shed_mbps", io::Json(s.shed_mbps)},
-      {"dropped_mbps", io::Json(s.dropped_mbps)},
-      {"flows_offered", io::Json(i64(s.flows_offered))},
-      {"flows_served", io::Json(i64(s.flows_served))},
-      {"flows_shed", io::Json(i64(s.flows_shed))},
-      {"flows_dropped", io::Json(i64(s.flows_dropped))},
-      {"flows_unrouted", io::Json(i64(s.flows_unrouted))},
-      {"unrouted_mbps", io::Json(s.unrouted_mbps)},
-      {"overloaded_sites", io::Json(i64(s.overloaded_sites))},
-      {"cascade_depth", io::Json(i64(s.cascade_depth))},
-      {"max_utilization", io::Json(s.max_utilization)},
-      {"mean_utilization", io::Json(s.mean_utilization)},
-      {"queue_delay_p50_ms", io::Json(s.queue_delay_p50_ms)},
-      {"queue_delay_p90_ms", io::Json(s.queue_delay_p90_ms)},
-      {"queue_delay_max_ms", io::Json(s.queue_delay_max_ms)},
-  });
-}
-
 io::Json step_to_json(const StepTraffic& s) {
-  return io::Json(io::JsonObject{
-      {"index", io::Json(static_cast<std::int64_t>(s.index))},
-      {"event", io::Json(s.event)},
-      {"solve", solve_to_json(s.solve)},
-      {"before_max_utilization", io::Json(s.before_max_utilization)},
-      {"before_mean_utilization", io::Json(s.before_mean_utilization)},
-      {"tipped_sites", io::Json(i64(s.tipped_sites))},
-      {"cascade_depth", io::Json(i64(s.cascade_depth))},
-      {"inflated_p50_ms", io::Json(s.inflated_p50_ms)},
-      {"inflated_p90_ms", io::Json(s.inflated_p90_ms)},
-  });
+  io::Json out = io::to_json(s);
+  io::JsonArray& sites = out.as_object().at("solve").as_object().at("sites").as_array();
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    sites[i].as_object().emplace("site", static_cast<std::int64_t>(i));
+  }
+  return out;
 }
 
 }  // namespace ranycast::traffic

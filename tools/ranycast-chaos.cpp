@@ -66,7 +66,6 @@
 #include "ranycast/guard/runtime.hpp"
 
 #include "ranycast/analysis/table.hpp"
-#include "ranycast/cdn/catalog.hpp"
 #include "ranycast/chaos/engine.hpp"
 #include "ranycast/chaos/scenario.hpp"
 #include "ranycast/core/flags.hpp"
@@ -77,21 +76,13 @@
 #include "ranycast/obs/journal.hpp"
 #include "ranycast/obs/metrics.hpp"
 #include "ranycast/obs/report.hpp"
-#include "ranycast/tangled/testbed.hpp"
 #include "ranycast/traffic/config.hpp"
+
+#include "cli.hpp"
 
 using namespace ranycast;
 
 namespace {
-
-std::optional<cdn::DeploymentSpec> spec_by_name(const std::string& name) {
-  if (name == "imperva6") return cdn::catalog::imperva6();
-  if (name == "imperva-ns") return cdn::catalog::imperva_ns();
-  if (name == "edgio3") return cdn::catalog::edgio3();
-  if (name == "edgio4") return cdn::catalog::edgio4();
-  if (name == "tangled") return tangled::global_spec();
-  return std::nullopt;
-}
 
 std::string render_transient_table(const chaos::ChaosReport& report) {
   analysis::TextTable table({"#", "event", "blackholed", "looped", "flipped", "reconv p50",
@@ -249,7 +240,7 @@ int main(int argc, char** argv) {
   }
 
   const std::string cdn_name = args.get_or("cdn", std::string("imperva6"));
-  const auto spec = spec_by_name(cdn_name);
+  const auto spec = cli::deployment_spec(cdn_name);
   if (!spec) {
     std::fprintf(stderr, "unknown CDN '%s'\n", cdn_name.c_str());
     return 2;
@@ -276,38 +267,17 @@ int main(int argc, char** argv) {
     obs::set_journal(&journal);
   }
 
-  lab::LabConfig config;
-  if (const auto path = args.get("config")) {
-    auto loaded = io::load_config(*path);
-    if (!loaded) {
-      std::fprintf(stderr, "config error: %s\n", loaded.error().to_string().c_str());
-      return 2;
-    }
-    config = std::move(*loaded);
-  }
-  if (args.has("stubs")) {
-    config.world.stub_count = static_cast<int>(args.get_or("stubs", std::int64_t{1200}));
-  }
-  if (args.has("probes")) {
-    config.census.total_probes =
-        static_cast<int>(args.get_or("probes", std::int64_t{5000}));
-  }
-  if (args.has("seed")) {
-    config.seed = static_cast<std::uint64_t>(args.get_or("seed", std::int64_t{2023}));
-  }
-  if (auto err = io::validate_lab_config(config)) {
-    std::fprintf(stderr, "config error: %s\n", err->to_string().c_str());
-    return 2;
-  }
+  const auto config = cli::lab_config(args);
+  if (!config) return 2;
 
   using F = obs::JournalField;
   obs::journal_event(
       "run_manifest",
       {F::str("tool", "ranycast-chaos"), F::str("scenario", *scenario_path),
        F::str("plan", plan->name), F::str("cdn", cdn_name),
-       F::u64_field("stubs", static_cast<std::uint64_t>(config.world.stub_count)),
-       F::u64_field("probes", static_cast<std::uint64_t>(config.census.total_probes)),
-       F::u64_field("seed", config.seed),
+       F::u64_field("stubs", static_cast<std::uint64_t>(config->world.stub_count)),
+       F::u64_field("probes", static_cast<std::uint64_t>(config->census.total_probes)),
+       F::u64_field("seed", config->seed),
        F::u64_field("planned_steps", plan->events.size()),
        F::bool_field("transient", args.has("transient")),
        F::bool_field("traffic", traffic_cfg.has_value()),
@@ -315,7 +285,7 @@ int main(int argc, char** argv) {
       /*durable=*/true);
 
   obs::journal_event("phase_begin", {F::str("phase", "lab.build")});
-  auto laboratory = lab::Lab::create(config);
+  auto laboratory = lab::Lab::create(*config);
   laboratory.set_delta_config(bgp::DeltaConfig{
       static_cast<std::uint32_t>(args.get_or("delta-verify", std::int64_t{0}))});
   const auto& handle = laboratory.add_deployment(*spec);

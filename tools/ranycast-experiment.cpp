@@ -60,6 +60,8 @@
 #include "ranycast/tangled/study.hpp"
 #include "ranycast/traffic/config.hpp"
 
+#include "cli.hpp"
+
 using namespace ranycast;
 
 namespace {
@@ -138,20 +140,12 @@ int run_causes(lab::Lab& laboratory, bool csv) {
   return 0;
 }
 
-std::optional<cdn::DeploymentSpec> spec_by_name(const std::string& name) {
-  if (name == "imperva6") return cdn::catalog::imperva6();
-  if (name == "imperva-ns") return cdn::catalog::imperva_ns();
-  if (name == "edgio3") return cdn::catalog::edgio3();
-  if (name == "edgio4") return cdn::catalog::edgio4();
-  return std::nullopt;
-}
-
 // Failover under load (docs/traffic.md): install a demand surge, withdraw
 // the deployment's busiest site, restore it, and let the traffic plane
 // account for where the displaced load went under the chosen policy.
 int run_traffic(lab::Lab& laboratory, bool csv, const flags::Parser& args) {
   const std::string cdn_name = args.get_or("cdn", std::string("imperva6"));
-  const auto spec = spec_by_name(cdn_name);
+  const auto spec = cli::deployment_spec(cdn_name);
   if (!spec) {
     std::fprintf(stderr, "unknown CDN '%s'\n", cdn_name.c_str());
     return 2;
@@ -265,7 +259,7 @@ void print_stability(const resilience::StabilityReport& report, bool csv) {
 
 int run_stability(lab::Lab& laboratory, bool csv, const flags::Parser& args) {
   const std::string cdn_name = args.get_or("cdn", std::string("imperva6"));
-  const auto spec = spec_by_name(cdn_name);
+  const auto spec = cli::deployment_spec(cdn_name);
   if (!spec) {
     std::fprintf(stderr, "unknown CDN '%s'\n", cdn_name.c_str());
     return 2;
@@ -356,27 +350,10 @@ int main(int argc, char** argv) {
     obs::set_journal(&journal);
   }
 
-  lab::LabConfig config;
-  if (const auto path = args.get("config")) {
-    auto loaded = io::load_config(*path);
-    if (!loaded) {
-      std::fprintf(stderr, "config error: %s\n", loaded.error().to_string().c_str());
-      return 2;
-    }
-    config = std::move(*loaded);
-  }
-  if (args.has("stubs")) {
-    config.world.stub_count = static_cast<int>(args.get_or("stubs", std::int64_t{2600}));
-  }
-  if (args.has("probes")) {
-    config.census.total_probes =
-        static_cast<int>(args.get_or("probes", std::int64_t{11000}));
-  }
-  if (args.has("seed")) {
-    config.seed = static_cast<std::uint64_t>(args.get_or("seed", std::int64_t{2023}));
-  }
+  const auto config = cli::lab_config(args);
+  if (!config) return 2;
   if (args.has("dump-config")) {
-    std::printf("%s\n", io::lab_config_to_json(config).dump(2).c_str());
+    std::printf("%s\n", io::lab_config_to_json(*config).dump(2).c_str());
     return 0;
   }
 
@@ -386,12 +363,12 @@ int main(int argc, char** argv) {
   obs::journal_event(
       "run_manifest",
       {F::str("tool", "ranycast-experiment"), F::str("experiment", experiment),
-       F::u64_field("stubs", static_cast<std::uint64_t>(config.world.stub_count)),
-       F::u64_field("probes", static_cast<std::uint64_t>(config.census.total_probes)),
-       F::u64_field("seed", config.seed)},
+       F::u64_field("stubs", static_cast<std::uint64_t>(config->world.stub_count)),
+       F::u64_field("probes", static_cast<std::uint64_t>(config->census.total_probes)),
+       F::u64_field("seed", config->seed)},
       /*durable=*/true);
   obs::journal_event("phase_begin", {F::str("phase", "lab.build")});
-  auto laboratory = lab::Lab::create(config);
+  auto laboratory = lab::Lab::create(*config);
   obs::journal_event("phase_end", {F::str("phase", "lab.build")}, /*durable=*/true);
   obs::journal_event("phase_begin", {F::str("phase", "experiment." + experiment)});
   std::optional<int> rc;

@@ -48,7 +48,6 @@
 
 #include <unistd.h>
 
-#include "ranycast/cdn/catalog.hpp"
 #include "ranycast/chaos/scenario.hpp"
 #include "ranycast/core/flags.hpp"
 #include "ranycast/core/rng.hpp"
@@ -59,20 +58,12 @@
 #include "ranycast/obs/journal.hpp"
 #include "ranycast/obs/metrics.hpp"
 #include "ranycast/serve/server.hpp"
-#include "ranycast/tangled/testbed.hpp"
+
+#include "cli.hpp"
 
 using namespace ranycast;
 
 namespace {
-
-std::optional<cdn::DeploymentSpec> spec_by_name(const std::string& name) {
-  if (name == "imperva6") return cdn::catalog::imperva6();
-  if (name == "imperva-ns") return cdn::catalog::imperva_ns();
-  if (name == "edgio3") return cdn::catalog::edgio3();
-  if (name == "edgio4") return cdn::catalog::edgio4();
-  if (name == "tangled") return tangled::global_spec();
-  return std::nullopt;
-}
 
 int usage() {
   std::fprintf(stderr,
@@ -440,7 +431,7 @@ int main(int argc, char** argv) {
   }
 
   const std::string cdn_name = args.get_or("cdn", std::string("imperva6"));
-  const auto spec = spec_by_name(cdn_name);
+  const auto spec = cli::deployment_spec(cdn_name);
   if (!spec) {
     std::fprintf(stderr, "unknown CDN '%s'\n", cdn_name.c_str());
     return 2;
@@ -462,40 +453,19 @@ int main(int argc, char** argv) {
     obs::set_journal(&journal);
   }
 
-  lab::LabConfig config;
-  if (const auto path = args.get("config")) {
-    auto loaded = io::load_config(*path);
-    if (!loaded) {
-      std::fprintf(stderr, "config error: %s\n", loaded.error().to_string().c_str());
-      return 2;
-    }
-    config = std::move(*loaded);
-  }
-  if (args.has("stubs")) {
-    config.world.stub_count = static_cast<int>(args.get_or("stubs", std::int64_t{1200}));
-  }
-  if (args.has("probes")) {
-    config.census.total_probes =
-        static_cast<int>(args.get_or("probes", std::int64_t{5000}));
-  }
-  if (args.has("seed")) {
-    config.seed = static_cast<std::uint64_t>(args.get_or("seed", std::int64_t{2023}));
-  }
-  if (auto err = io::validate_lab_config(config)) {
-    std::fprintf(stderr, "config error: %s\n", err->to_string().c_str());
-    return 2;
-  }
+  const auto config = cli::lab_config(args);
+  if (!config) return 2;
 
-  const ServeKnobs knobs = knobs_from_flags(args, std::move(world_plan), config.seed);
+  const ServeKnobs knobs = knobs_from_flags(args, std::move(world_plan), config->seed);
 
   using F = obs::JournalField;
   obs::journal_event(
       "run_manifest",
       {F::str("tool", "ranycast-serve"), F::str("mode", command),
        F::str("cdn", cdn_name),
-       F::u64_field("stubs", static_cast<std::uint64_t>(config.world.stub_count)),
-       F::u64_field("probes", static_cast<std::uint64_t>(config.census.total_probes)),
-       F::u64_field("seed", config.seed), F::u64_field("ticks", knobs.ticks),
+       F::u64_field("stubs", static_cast<std::uint64_t>(config->world.stub_count)),
+       F::u64_field("probes", static_cast<std::uint64_t>(config->census.total_probes)),
+       F::u64_field("seed", config->seed), F::u64_field("ticks", knobs.ticks),
        F::u64_field("tick_ns", knobs.tick_ns),
        F::u64_field("queries_per_tick", knobs.queries_per_tick),
        F::u64_field("budget_us", knobs.budget_us),
@@ -505,7 +475,7 @@ int main(int argc, char** argv) {
       /*durable=*/true);
 
   obs::journal_event("phase_begin", {F::str("phase", "lab.build")});
-  auto laboratory = lab::Lab::create(config);
+  auto laboratory = lab::Lab::create(*config);
   const auto& handle = laboratory.add_deployment(*spec);
   obs::journal_event("phase_end", {F::str("phase", "lab.build")}, /*durable=*/true);
 

@@ -11,27 +11,14 @@
 // trace events (trace). See docs/observability.md for both schemas.
 #include <cstdio>
 
-#include "ranycast/cdn/catalog.hpp"
 #include "ranycast/core/flags.hpp"
 #include "ranycast/lab/lab.hpp"
 #include "ranycast/obs/metrics.hpp"
 #include "ranycast/obs/report.hpp"
-#include "ranycast/tangled/testbed.hpp"
+
+#include "cli.hpp"
 
 using namespace ranycast;
-
-namespace {
-
-std::optional<cdn::DeploymentSpec> spec_by_name(const std::string& name) {
-  if (name == "imperva6") return cdn::catalog::imperva6();
-  if (name == "imperva-ns") return cdn::catalog::imperva_ns();
-  if (name == "edgio3") return cdn::catalog::edgio3();
-  if (name == "edgio4") return cdn::catalog::edgio4();
-  if (name == "tangled") return tangled::global_spec();
-  return std::nullopt;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const flags::Parser args(argc, argv);
@@ -46,7 +33,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cdn_name = args.get_or("cdn", std::string("imperva6"));
-  const auto spec = spec_by_name(cdn_name);
+  const auto spec = cli::deployment_spec(cdn_name);
   if (!spec) {
     std::fprintf(stderr, "unknown CDN '%s'\n", cdn_name.c_str());
     return 2;
@@ -56,11 +43,12 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry::global().set_label("tool", "ranycast-stats");
   obs::MetricsRegistry::global().set_label("cdn", cdn_name);
 
-  lab::LabConfig config;
-  config.world.stub_count = static_cast<int>(args.get_or("stubs", std::int64_t{1200}));
-  config.census.total_probes = static_cast<int>(args.get_or("probes", std::int64_t{5000}));
-  config.seed = static_cast<std::uint64_t>(args.get_or("seed", std::int64_t{2023}));
-  auto laboratory = lab::Lab::create(config);
+  lab::LabConfig sizing;
+  sizing.world.stub_count = 1200;
+  sizing.census.total_probes = 5000;
+  const auto config = cli::lab_config(args, sizing);
+  if (!config) return 2;
+  auto laboratory = lab::Lab::create(*config);
   const auto& handle = laboratory.add_deployment(*spec);
 
   const auto retained = laboratory.census().retained();

@@ -8,25 +8,12 @@
 // an interactive tool.
 #include <cstdio>
 
-#include "ranycast/cdn/catalog.hpp"
 #include "ranycast/core/flags.hpp"
 #include "ranycast/lab/lab.hpp"
-#include "ranycast/tangled/testbed.hpp"
+
+#include "cli.hpp"
 
 using namespace ranycast;
-
-namespace {
-
-std::optional<cdn::DeploymentSpec> spec_by_name(const std::string& name) {
-  if (name == "imperva6") return cdn::catalog::imperva6();
-  if (name == "imperva-ns") return cdn::catalog::imperva_ns();
-  if (name == "edgio3") return cdn::catalog::edgio3();
-  if (name == "edgio4") return cdn::catalog::edgio4();
-  if (name == "tangled") return tangled::global_spec();
-  return std::nullopt;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const flags::Parser args(argc, argv);
@@ -35,7 +22,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cdn_name = args.get_or("cdn", std::string("imperva6"));
-  const auto spec = spec_by_name(cdn_name);
+  const auto spec = cli::deployment_spec(cdn_name);
   if (!spec) {
     std::fprintf(stderr, "unknown CDN '%s'\n", cdn_name.c_str());
     return 2;
