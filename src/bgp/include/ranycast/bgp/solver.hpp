@@ -77,6 +77,12 @@ class RoutingOutcome {
   /// Catchment: the site an AS's traffic reaches. Reads the compact entry;
   /// never materializes a path.
   std::optional<SiteId> catchment(Asn a) const noexcept;
+  /// The same by dense node index (topo::Graph::index_of), without the ASN
+  /// lookup: for callers that walk every AS in index order.
+  std::optional<SiteId> catchment_at(std::size_t node) const noexcept {
+    if (entries_[node].path == PathArena::kNone) return std::nullopt;
+    return entries_[node].origin_site;
+  }
 
   /// RTT of AS `a`'s selected route for a client of `a` itself in
   /// `client_city`: latency.path_rtt(*route_for(a), client_city, a, extra)

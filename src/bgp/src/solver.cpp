@@ -109,8 +109,8 @@ const Route* RoutingOutcome::route_for(Asn a) const noexcept {
 
 std::optional<SiteId> RoutingOutcome::catchment(Asn a) const noexcept {
   const auto idx = graph_->index_of(a);
-  if (!idx || entries_[*idx].path == PathArena::kNone) return std::nullopt;
-  return entries_[*idx].origin_site;
+  if (!idx) return std::nullopt;
+  return catchment_at(*idx);
 }
 
 std::optional<Rtt> RoutingOutcome::path_rtt(Asn a, CityId client_city,

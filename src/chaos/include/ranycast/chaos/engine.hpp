@@ -35,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -212,8 +213,13 @@ class Engine {
   /// builds on: its refresher advances the world one event per snapshot
   /// build, and its resume path fast-forwards by re-applying the
   /// already-consumed prefix, exactly like run_guarded's own replay.
-  /// Returns "" on success, else the error message.
-  std::string apply_event(const FaultEvent& e) { return apply(e); }
+  /// Returns "" on success, else the error message. A convergence plane,
+  /// which is handed each measured step's changes, does not see this event:
+  /// it is dropped and cold-starts before the next measured step.
+  std::string apply_event(const FaultEvent& e) {
+    plane_.reset();
+    return apply(e);
+  }
 
  private:
   struct Carry;  // measurements of the current lab state, kept across steps
@@ -228,6 +234,8 @@ class Engine {
     std::vector<bgp::ChangedRows> rows;
     /// Routing events: per region, the origin changes the re-solve was given.
     std::vector<std::vector<bgp::OriginChange>> origins;
+    /// Routing events: the adjacencies the re-solve was given as toggled.
+    std::vector<bgp::LinkDelta> links;
   };
 
   /// "" on success, else the error. `changed` (if given) receives what the
@@ -240,6 +248,8 @@ class Engine {
   /// Build (or rebuild after a resume) the convergence plane from the lab's
   /// current state; no-op unless enable_transient was called.
   void ensure_plane();
+  /// probe_nodes_, built on first use.
+  const std::vector<std::uint32_t>& probe_nodes();
   /// before-pass → apply → after-pass → reduce for one event; shared
   /// between run() and run_guarded(). Reuses (and leaves behind for the next
   /// step) the measurements in `carry`. When transient recording is on, also
@@ -281,9 +291,11 @@ class Engine {
   bool groups_built_{false};
   std::optional<std::pair<std::uint64_t, traffic::FlowSet>> flow_cache_;
   std::optional<bgp::DeltaStats> last_step_delta_;
-  /// Dense node index of each retained probe's AS, built by the first
-  /// reach(): Graph::index_of is a hash lookup, too slow to repeat per step.
+  /// Dense node index of each retained probe's AS (kNoNode when the AS is
+  /// not in the graph): Graph::index_of is a hash lookup, too slow to repeat
+  /// per probe per step.
   std::vector<std::uint32_t> probe_nodes_;
+  static constexpr std::uint32_t kNoNode = std::numeric_limits<std::uint32_t>::max();
 };
 
 }  // namespace ranycast::chaos

@@ -196,17 +196,22 @@ void Engine::ensure_plane() {
   plane_->rebuild();
 }
 
-Engine::Reach Engine::reach(const std::vector<lab::Measurement>& rows,
-                            const std::vector<bgp::ChangedRows>& changed, bool assigns) {
-  constexpr std::uint32_t kNoNode = std::numeric_limits<std::uint32_t>::max();
-  const topo::Graph& graph = lab_.world().graph;
+const std::vector<std::uint32_t>& Engine::probe_nodes() {
   if (probe_nodes_.size() != retained_.size()) {
+    const topo::Graph& graph = lab_.world().graph;
     probe_nodes_.resize(retained_.size());
     for (std::size_t i = 0; i < retained_.size(); ++i) {
       const auto idx = graph.index_of(retained_[i]->asn);
       probe_nodes_[i] = idx ? static_cast<std::uint32_t>(*idx) : kNoNode;
     }
   }
+  return probe_nodes_;
+}
+
+Engine::Reach Engine::reach(const std::vector<lab::Measurement>& rows,
+                            const std::vector<bgp::ChangedRows>& changed, bool assigns) {
+  const topo::Graph& graph = lab_.world().graph;
+  const std::vector<std::uint32_t>& nodes = probe_nodes();
   // Per region with changed rows, a byte per dense node index.
   std::vector<std::vector<std::uint8_t>> marks(changed.size());
   for (std::size_t r = 0; r < changed.size(); ++r) {
@@ -219,7 +224,7 @@ Engine::Reach Engine::reach(const std::vector<lab::Measurement>& rows,
   };
   Reach out;
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const std::uint32_t x = probe_nodes_[i];
+    const std::uint32_t x = nodes[i];
     if (moved_in(rows[i].region, x)) out.remeasure.push_back(static_cast<std::uint32_t>(i));
     if (!assigns) continue;
     for (std::size_t r = 0; r < changed.size(); ++r) {
@@ -383,6 +388,7 @@ std::string Engine::apply(const FaultEvent& e, Changes* changed) {
     const bgp::DeltaStats stats =
         lab_.resolve_delta(*handle_, delta, changed != nullptr ? &changes.rows : nullptr);
     changes.origins = std::move(delta.origins);
+    changes.links = std::move(delta.links);
     last_step_delta_ = stats;
     if (obs::enabled()) {
       auto& reg = metrics();
@@ -543,12 +549,16 @@ core::Expected<StepReport, std::string> Engine::execute_step(
     // Probes enter the transient rollup from the pre-fault view: the AS they
     // measure from and the regional prefix they were being served from when
     // the fault hit — that prefix's convergence is their outage.
+    const std::vector<std::uint32_t>& nodes = probe_nodes();
     std::vector<converge::ProbeRef> refs;
     refs.reserve(before.size());
     for (std::size_t p = 0; p < before.size(); ++p) {
-      refs.push_back(converge::ProbeRef{retained_[p]->asn, before[p].region});
+      converge::ProbeRef ref{retained_[p]->asn, before[p].region};
+      if (nodes[p] != kNoNode) ref.node = nodes[p];
+      refs.push_back(ref);
     }
-    transient_out->push_back(plane_->step(index, describe(event), changes.origins, refs));
+    transient_out->push_back(
+        plane_->step(index, describe(event), changes.origins, refs, changes.links));
   }
 
   if (traffic_on) {
@@ -595,16 +605,20 @@ core::Expected<StepReport, std::string> Engine::execute_step(
     // Depth 0: absorbed. 1: the fault itself tipped sites. >1: shedding off
     // the tipped sites overloaded further neighbors in turn.
     t.cascade_depth = (t.tipped_sites > 0 ? 1 : 0) + t.solve.cascade_depth;
+    const bool sample_waits = obs::enabled();
     std::vector<double> inflated;
+    std::vector<double> waits;
     inflated.reserve(after.size());
+    if (sample_waits) waits.reserve(after.size());
     for (const lab::Measurement& a : after) {
       if (!a.routed || a.ping_lost) continue;
       const std::size_t s = a.site;
       const double wait =
           s < t.solve.sites.size() ? t.solve.sites[s].queue_delay_ms : 0.0;
       inflated.push_back(a.rtt_ms + wait);
-      delay_hist.record(wait);
+      if (sample_waits) waits.push_back(wait);
     }
+    delay_hist.record_batch(waits);
     t.inflated_p50_ms = analysis::percentile(inflated, 50);
     t.inflated_p90_ms = analysis::percentile(inflated, 90);
     util_max.set(t.solve.max_utilization);

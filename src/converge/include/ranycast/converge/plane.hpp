@@ -4,15 +4,16 @@
 //
 // The Plane sits between the chaos engine and the per-prefix simulators. The
 // engine mutates topology/announcement state, hands the plane the origin
-// changes it caused, and gets back a StepTransient: per-region convergence
-// aggregates plus per-probe blackhole/loop/flip accounting and a
-// differential verdict against the freshly re-solved steady state. Regions
-// are independent (one prefix each), so they run concurrently; every
-// per-region computation is single-threaded and integer-time, which keeps
-// reports byte-identical across thread counts.
+// changes and toggled adjacencies it gave the re-solve, and gets back a
+// StepTransient: per-region convergence aggregates plus per-probe
+// blackhole/loop/flip accounting and a differential verdict against the
+// freshly re-solved steady state. Regions are independent (one prefix each),
+// so they run concurrently; every per-region computation is single-threaded
+// and integer-time, which keeps reports byte-identical across thread counts.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -27,6 +28,9 @@ namespace ranycast::converge {
 struct ProbeRef {
   Asn asn{kInvalidAsn};
   std::size_t region{0};
+  /// `asn`'s dense node index when the caller holds it; the plane looks the
+  /// ASN up otherwise.
+  std::optional<std::uint32_t> node{};
 };
 
 /// One chaos step's transient, across all regions of a deployment.
@@ -109,13 +113,16 @@ class Plane {
   std::size_t region_count() const noexcept { return sims_.size(); }
 
   /// Run one transient step: per-region origin changes (the ones the
-  /// re-solve was given) feed each region's simulator, which also
-  /// discovers link-state changes by diffing its session overlay against
-  /// the graph. Missing trailing regions mean "no change". Regions fan out
-  /// over the thread pool; the rollup is reduced in region/probe order.
+  /// re-solve was given) feed each region's simulator, and each syncs its
+  /// session overlay with the graph — over the `toggled` adjacencies (the
+  /// ones the re-solve was given) when the caller lists them, over every
+  /// adjacency otherwise (PrefixSim::run_step). Missing trailing regions
+  /// mean "no change". Regions fan out over the thread pool; the rollup is
+  /// reduced in region/probe order. The steady verdict compares every AS.
   StepTransient step(std::size_t index, std::string event,
                      std::span<const std::vector<bgp::OriginChange>> changes_by_region,
-                     std::span<const ProbeRef> probes);
+                     std::span<const ProbeRef> probes,
+                     std::optional<std::span<const bgp::LinkDelta>> toggled = std::nullopt);
 
  private:
   const lab::Lab& lab_;

@@ -21,9 +21,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <queue>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "ranycast/bgp/delta_solver.hpp"
@@ -64,6 +66,8 @@ struct NodeTimeline {
   // internal interval bookkeeping (finalized before run_step returns)
   bool dark{false};
   std::uint64_t dark_since_us{0};
+
+  bool operator==(const NodeTimeline&) const = default;
 };
 
 /// Aggregate view of one region's convergence run.
@@ -121,28 +125,57 @@ std::vector<std::uint32_t> forwarding_cycle(std::span<const std::int32_t> next_h
                                             std::uint32_t start);
 }  // namespace detail
 
+/// The graph-only half of a sim's adjacency bookkeeping: for the edge
+/// `edge` of dense node `node`, the neighbour's dense index and the index of
+/// the reverse edge in the neighbour's list. It reads the adjacency lists
+/// only, never link state, so one table serves every sim of a graph.
+class Mirror {
+ public:
+  explicit Mirror(const topo::Graph& graph);
+
+  std::pair<std::uint32_t, std::uint32_t> at(std::size_t node,
+                                             std::size_t edge) const noexcept {
+    return reverse_[first_[node] + edge];
+  }
+
+ private:
+  std::vector<std::uint32_t> first_;  ///< node's first slot in reverse_; n + 1 entries
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> reverse_;
+};
+
 class PrefixSim {
  public:
   /// The graph must outlive the sim. `seed` is the solver tie-break seed of
   /// the same prefix — hash_combine(lab seed, region index) — so quiesced
   /// tie-breaks are bit-equal to the steady-state solve.
   PrefixSim(const topo::Graph& graph, Asn cdn_asn, std::uint64_t seed, const Config& cfg);
+  /// The same, sharing a Mirror of `graph` with the other sims of a plane.
+  PrefixSim(const topo::Graph& graph, std::shared_ptr<const Mirror> mirror, Asn cdn_asn,
+            std::uint64_t seed, const Config& cfg);
 
   /// Reset all routing state and converge from scratch on the graph's
   /// current link state and the given originations.
   RegionTransient cold_start(std::span<const bgp::OriginAttachment> origins);
 
   /// One transient step from the current quiesced state: synchronize the
-  /// session overlay with the graph (synthesizing session resets for every
-  /// adjacency whose up/down state changed since the last run — link
-  /// changes are not passed explicitly), apply the origin changes
+  /// session overlay with the graph (a session reset for every adjacency
+  /// whose up/down state differs from the graph's), apply the origin changes
   /// (withdraw/restore faults) at t=0 and any scheduled flips at their
   /// times, then run to quiescence (or the oscillation budget, or
   /// cancellation — a supervisor's installed cancel flag is polled and
   /// exec::CancelledError thrown, which guard::run_sweep converts into a
   /// truncated run).
+  ///
+  /// `toggled` lists every adjacency whose graph state may have changed
+  /// since the previous run (the re-solve's bgp::SolveDelta::links). With a
+  /// list, only those adjacencies and the ones the previous run's schedule
+  /// flipped are compared with the graph; without one, all of them are.
+  /// Before its events the step resets only the nodes the previous run
+  /// touched, and compacts the path arena only once it has outgrown the
+  /// bound set by the last compaction.
   RegionTransient run_step(std::span<const bgp::OriginChange> origin_changes,
-                           std::span<const TimedLinkFlip> schedule = {});
+                           std::span<const TimedLinkFlip> schedule = {},
+                           std::optional<std::span<const bgp::LinkDelta>> toggled = std::nullopt);
 
   std::size_t node_count() const noexcept { return nodes_.size(); }
   bool has_route(std::size_t node) const noexcept;
@@ -153,6 +186,8 @@ class PrefixSim {
   std::optional<bgp::rules::Attrs> route_view(std::size_t node) const noexcept;
 
   /// Per-AS timelines of the most recent run, indexed by dense node index.
+  /// A node the run did not touch holds an empty timeline, routed initially
+  /// and finally exactly when it has a route.
   std::span<const NodeTimeline> timelines() const noexcept { return timelines_; }
 
  private:
@@ -228,8 +263,18 @@ class PrefixSim {
   void apply_link_transition(std::size_t node, std::size_t edge, bool up,
                              std::uint64_t now);
   void apply_origin_change(const bgp::OriginChange& change);
-  void sync_overlay_with_graph();
-  void reset_epoch_controls();
+  /// Start a session reset wherever the overlay differs from the graph:
+  /// over every directed adjacency without a `toggled` list, else over both
+  /// directions of each listed and each `flipped` adjacency, in ascending
+  /// (node, edge) order. Returns how many directed adjacencies it compared.
+  std::size_t sync_overlay_with_graph(std::optional<std::span<const bgp::LinkDelta>> toggled,
+                                      std::span<const TimedLinkFlip> flipped);
+  void touch(std::size_t node);
+  void touch_all();
+  /// Return every node the previous run touched to its between-runs state
+  /// (idle session controls, an empty timeline) and clear the per-run
+  /// counters. Returns how many nodes it reset.
+  std::size_t reset_touched();
   void compact_arena();
   std::uint32_t reintern(const bgp::PathArena& from, std::uint32_t path,
                          bgp::PathArena& into);
@@ -242,15 +287,24 @@ class PrefixSim {
   Config cfg_;
   std::uint64_t budget_;
 
+  std::shared_ptr<const Mirror> mirror_;
+
   bgp::PathArena arena_;
+  /// Arena size past which run_step compacts: twice the size the last
+  /// compaction (or cold start) left, plus kCompactSlack.
+  std::size_t compact_above_{0};
   /// reintern()'s reused buffer: one path's arena ids, holder first.
   std::vector<std::uint32_t> reintern_chain_;
   std::vector<NodeState> nodes_;
   std::vector<std::int32_t> next_hop_;  ///< -1 none, -2 origin, else node index
   std::vector<NodeTimeline> timelines_;
-  /// mirror_[i][j] = (neighbor dense index, edge index of the reverse
-  /// direction at the neighbor); precomputed once.
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> mirror_;
+  /// The nodes this run changed — session controls, Adj-RIB-In/Out, seeds,
+  /// best route or loop mark — each listed once (is_touched_ dedupes).
+  /// finalize() reads only these, and the next run resets only these.
+  std::vector<std::uint32_t> touched_;
+  std::vector<std::uint8_t> is_touched_;
+  /// sync_overlay_with_graph()'s reused buffer of (node, edge) pairs.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> sync_list_;
 
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
   std::uint64_t seq_{0};

@@ -41,11 +41,12 @@ std::vector<std::vector<bgp::OriginChange>> diff_origins(
 Plane::Plane(const lab::Lab& lab, const lab::DeploymentHandle& handle, const Config& cfg)
     : lab_(lab), handle_(handle), cfg_(cfg) {
   const cdn::Deployment& dep = handle_.deployment;
+  const auto mirror = std::make_shared<const Mirror>(lab_.world().graph);
   sims_.reserve(dep.regions().size());
   for (std::size_t r = 0; r < dep.regions().size(); ++r) {
     // The steady-state solve's tie-break seed, so the quiesced attributes
     // are bit-equal to the solver's.
-    sims_.push_back(std::make_unique<PrefixSim>(lab_.world().graph, dep.asn(),
+    sims_.push_back(std::make_unique<PrefixSim>(lab_.world().graph, mirror, dep.asn(),
                                                 lab_.tiebreak_seed(r), cfg_));
   }
 }
@@ -60,7 +61,8 @@ void Plane::rebuild() {
 
 StepTransient Plane::step(std::size_t index, std::string event,
                           std::span<const std::vector<bgp::OriginChange>> changes_by_region,
-                          std::span<const ProbeRef> probes) {
+                          std::span<const ProbeRef> probes,
+                          std::optional<std::span<const bgp::LinkDelta>> toggled) {
   StepTransient out;
   out.index = index;
   out.event = std::move(event);
@@ -70,13 +72,13 @@ StepTransient Plane::step(std::size_t index, std::string event,
   exec::ThreadPool::global().parallel_for(sims_.size(), [&](std::size_t r) {
     static const std::vector<bgp::OriginChange> kEmpty;
     const auto& changes = r < changes_by_region.size() ? changes_by_region[r] : kEmpty;
-    RegionTransient rt = sims_[r]->run_step(changes);
+    PrefixSim& sim = *sims_[r];
+    RegionTransient rt = sim.run_step(changes, {}, toggled);
     // Differential verdict: the quiesced catchment must equal the solver's
-    // for the same (already re-solved) topology.
+    // for the same (already re-solved) topology, at every AS.
     const bgp::RoutingOutcome& steady = handle_.outcomes[r];
-    const auto nodes = graph.nodes();
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      if (sims_[r]->catchment(i) != steady.catchment(nodes[i].asn)) ++rt.mismatches;
+    for (std::size_t i = 0; i < sim.node_count(); ++i) {
+      if (sim.catchment(i) != steady.catchment_at(i)) ++rt.mismatches;
     }
     rt.matches_steady = rt.mismatches == 0;
     out.regions[r] = rt;
@@ -93,7 +95,8 @@ StepTransient Plane::step(std::size_t index, std::string event,
   std::vector<double> blackhole_ms;
   out.probes = probes.size();
   for (const ProbeRef& p : probes) {
-    const auto idx = graph.index_of(p.asn);
+    std::optional<std::size_t> idx = p.node;
+    if (!idx) idx = graph.index_of(p.asn);
     if (!idx || p.region >= sims_.size()) continue;
     const NodeTimeline& t = sims_[p.region]->timelines()[*idx];
     if (t.blackhole_us > 0) {
@@ -120,10 +123,8 @@ StepTransient Plane::step(std::size_t index, std::string event,
     auto& reg = obs::MetricsRegistry::global();
     reg.counter("converge.steps").add();
     if (out.oscillating) reg.counter("converge.oscillations").add();
-    auto& reconv = reg.histogram("converge.reconverge_ms", kTransientMsBounds);
-    for (double v : reconverge_ms) reconv.record(v);
-    auto& dark = reg.histogram("converge.blackhole_ms", kTransientMsBounds);
-    for (double v : blackhole_ms) dark.record(v);
+    reg.histogram("converge.reconverge_ms", kTransientMsBounds).record_batch(reconverge_ms);
+    reg.histogram("converge.blackhole_ms", kTransientMsBounds).record_batch(blackhole_ms);
   }
 
   if (obs::journal() != nullptr) {

@@ -7,8 +7,18 @@
 #include "ranycast/core/rng.hpp"
 #include "ranycast/exec/pool.hpp"
 #include "ranycast/geo/gazetteer.hpp"
+#include "ranycast/obs/metrics.hpp"
 
 namespace ranycast::converge {
+
+namespace {
+
+/// Arena nodes a run may add past twice the last compaction's size before
+/// the next run compacts: like the DeltaSolver's re-prime, compaction waits
+/// until garbage dominates the live paths.
+constexpr std::size_t kCompactSlack = 65'536;
+
+}  // namespace
 
 std::uint64_t fingerprint(const Config& c) noexcept {
   auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
@@ -48,30 +58,14 @@ std::vector<std::uint32_t> forwarding_cycle(std::span<const std::int32_t> next_h
 
 }  // namespace detail
 
-PrefixSim::PrefixSim(const topo::Graph& graph, Asn cdn_asn, std::uint64_t seed,
-                     const Config& cfg)
-    : graph_(graph), cdn_asn_(cdn_asn), seed_(seed), cfg_(cfg) {
-  const auto nodes = graph_.nodes();
-  const std::size_t n = nodes.size();
-  budget_ = cfg_.max_events != 0 ? cfg_.max_events : 4096 + 2048 * static_cast<std::uint64_t>(n);
-
-  nodes_.resize(n);
-  next_hop_.assign(n, -1);
-  timelines_.assign(n, NodeTimeline{});
-  mirror_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const topo::AsNode& node = nodes[i];
-    nodes_[i].adj.resize(node.edges.size());
-    nodes_[i].proc_delay_us =
-        cfg_.timers.proc_delay_us +
-        (cfg_.timers.proc_jitter_us == 0
-             ? 0
-             : hash_combine(hash_combine(seed_, 0x70726f63u /* "proc" */), value(node.asn)) %
-                   (cfg_.timers.proc_jitter_us + 1));
-    mirror_[i].resize(node.edges.size());
-    for (std::size_t j = 0; j < node.edges.size(); ++j) {
-      nodes_[i].adj[j].up = node.edges[j].up;
-      const auto nidx = graph_.index_of(node.edges[j].neighbor);
+Mirror::Mirror(const topo::Graph& graph) {
+  const auto nodes = graph.nodes();
+  first_.reserve(nodes.size() + 1);
+  first_.push_back(0);
+  reverse_.reserve(2 * graph.edge_count());
+  for (const topo::AsNode& node : nodes) {
+    for (const topo::Edge& e : node.edges) {
+      const auto nidx = graph.index_of(e.neighbor);
       std::uint32_t redge = 0;
       if (nidx) {
         const auto& redges = nodes[*nidx].edges;
@@ -82,8 +76,37 @@ PrefixSim::PrefixSim(const topo::Graph& graph, Asn cdn_asn, std::uint64_t seed,
           }
         }
       }
-      mirror_[i][j] = {static_cast<std::uint32_t>(nidx.value_or(0)), redge};
+      reverse_.emplace_back(static_cast<std::uint32_t>(nidx.value_or(0)), redge);
     }
+    first_.push_back(static_cast<std::uint32_t>(reverse_.size()));
+  }
+}
+
+PrefixSim::PrefixSim(const topo::Graph& graph, Asn cdn_asn, std::uint64_t seed,
+                     const Config& cfg)
+    : PrefixSim(graph, std::make_shared<const Mirror>(graph), cdn_asn, seed, cfg) {}
+
+PrefixSim::PrefixSim(const topo::Graph& graph, std::shared_ptr<const Mirror> mirror,
+                     Asn cdn_asn, std::uint64_t seed, const Config& cfg)
+    : graph_(graph), cdn_asn_(cdn_asn), seed_(seed), cfg_(cfg), mirror_(std::move(mirror)) {
+  const auto nodes = graph_.nodes();
+  const std::size_t n = nodes.size();
+  budget_ = cfg_.max_events != 0 ? cfg_.max_events : 4096 + 2048 * static_cast<std::uint64_t>(n);
+
+  nodes_.resize(n);
+  next_hop_.assign(n, -1);
+  timelines_.assign(n, NodeTimeline{});
+  is_touched_.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const topo::AsNode& node = nodes[i];
+    nodes_[i].adj.resize(node.edges.size());
+    nodes_[i].proc_delay_us =
+        cfg_.timers.proc_delay_us +
+        (cfg_.timers.proc_jitter_us == 0
+             ? 0
+             : hash_combine(hash_combine(seed_, 0x70726f63u /* "proc" */), value(node.asn)) %
+                   (cfg_.timers.proc_jitter_us + 1));
+    for (std::size_t j = 0; j < node.edges.size(); ++j) nodes_[i].adj[j].up = node.edges[j].up;
   }
 }
 
@@ -108,7 +131,7 @@ std::uint64_t PrefixSim::mrai_us(std::size_t node, std::size_t edge) const noexc
 std::uint64_t PrefixSim::link_delay_us(std::size_t node, std::size_t edge) const noexcept {
   const auto& gaz = geo::Gazetteer::world();
   const topo::AsNode& me = graph_.nodes()[node];
-  const auto [rn, re] = mirror_[node][edge];
+  const auto [rn, re] = mirror_->at(node, edge);
   const double km = gaz.distance(me.home_city, graph_.nodes()[rn].home_city).km;
   return cfg_.timers.link_base_delay_us +
          static_cast<std::uint64_t>(std::llround(cfg_.timers.link_us_per_km * km));
@@ -124,6 +147,7 @@ void PrefixSim::push(Event e) {
 void PrefixSim::schedule_send(std::size_t node, std::size_t edge, std::uint64_t now) {
   AdjState& a = nodes_[node].adj[edge];
   if (!a.up || a.pending) return;
+  touch(node);
   a.pending = true;
   Event ev;
   ev.kind = Event::Kind::Send;
@@ -156,7 +180,7 @@ void PrefixSim::fire_send(std::size_t node, std::size_t edge, std::uint64_t now)
   if (content.attrs == a.sent.attrs) return;  // nothing new to say
   a.sent = content;
   a.next_ok_us = now + mrai_us(node, edge);
-  const auto [rn, re] = mirror_[node][edge];
+  const auto [rn, re] = mirror_->at(node, edge);
   Event ev;
   ev.kind = Event::Kind::Update;
   ev.time = now + link_delay_us(node, edge) + nodes_[rn].proc_delay_us;
@@ -186,6 +210,7 @@ void PrefixSim::accept_update(const Event& e) {
     next.path = arena_.append(e.route.path, e.via, next.attrs.last_city);
   }
   if (next.attrs == a.in.attrs) return;
+  touch(e.node);
   if (cfg_.damping.enabled && a.in.valid()) bump_penalty(e.node, e.edge, e.time);
   a.in = next;
   reselect(e.node, e.time);  // reselect skips suppressed sessions
@@ -245,6 +270,7 @@ void PrefixSim::fire_reuse(std::size_t node, std::size_t edge, std::uint64_t now
 }
 
 void PrefixSim::record_change(std::size_t node, const Cand& next, std::uint64_t now) {
+  touch(node);
   NodeTimeline& t = timelines_[node];
   const Cand& old = nodes_[node].best;
   if (!t.changed) {
@@ -281,7 +307,7 @@ void PrefixSim::reselect(std::size_t node, std::uint64_t now) {
     if (!a.in.valid() || a.suppressed) continue;
     if (!best.valid() || bgp::rules::better(a.in.attrs, best.attrs)) {
       best = a.in;
-      hop = static_cast<std::int32_t>(mirror_[node][j].first);
+      hop = static_cast<std::int32_t>(mirror_->at(node, j).first);
     }
   }
   if (best.attrs == n.best.attrs) return;
@@ -294,7 +320,11 @@ void PrefixSim::reselect(std::size_t node, std::uint64_t now) {
     const auto cycle = detail::forwarding_cycle(next_hop_, static_cast<std::uint32_t>(node));
     if (!cycle.empty()) {
       ++transient_loops_;
-      for (const std::uint32_t idx : cycle) timelines_[idx].looped = true;
+      // A cycle member's best need not have changed this run.
+      for (const std::uint32_t idx : cycle) {
+        touch(idx);
+        timelines_[idx].looped = true;
+      }
     }
   }
 
@@ -310,6 +340,7 @@ void PrefixSim::reselect(std::size_t node, std::uint64_t now) {
 
 void PrefixSim::apply_link_transition(std::size_t node, std::size_t edge, bool up,
                                       std::uint64_t now) {
+  touch(node);
   AdjState& a = nodes_[node].adj[edge];
   a.up = up;
   ++a.gen;
@@ -333,6 +364,7 @@ void PrefixSim::apply_origin_change(const bgp::OriginChange& change) {
   if (!bgp::rules::seeds_route(o)) return;
   const auto idx = graph_.index_of(o.neighbor);
   if (!idx) return;
+  touch(*idx);
   NodeState& n = nodes_[*idx];
   if (change.announce) {
     const Cand seeded{arena_.append(bgp::PathArena::kNone, cdn_asn_, o.site_city),
@@ -348,19 +380,57 @@ void PrefixSim::apply_origin_change(const bgp::OriginChange& change) {
   reselect(*idx, 0);
 }
 
-void PrefixSim::sync_overlay_with_graph() {
+std::size_t PrefixSim::sync_overlay_with_graph(
+    std::optional<std::span<const bgp::LinkDelta>> toggled,
+    std::span<const TimedLinkFlip> flipped) {
   const auto nodes = graph_.nodes();
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    for (std::size_t j = 0; j < nodes[i].edges.size(); ++j) {
-      const bool gup = nodes[i].edges[j].up;
-      if (nodes_[i].adj[j].up != gup) apply_link_transition(i, j, gup, 0);
+  const auto sync = [&](std::uint32_t i, std::uint32_t j) {
+    const bool gup = nodes[i].edges[j].up;
+    if (nodes_[i].adj[j].up != gup) apply_link_transition(i, j, gup, 0);
+  };
+  if (!toggled) {
+    std::size_t compared = 0;
+    for (std::uint32_t i = 0; i < nodes.size(); ++i) {
+      for (std::uint32_t j = 0; j < nodes[i].edges.size(); ++j) sync(i, j);
+      compared += nodes[i].edges.size();
     }
+    return compared;
   }
+  // Both directions of each listed adjacency, and of each one the previous
+  // run's schedule flipped (that moved the overlay, not the graph).
+  sync_list_.clear();
+  const auto add = [&](Asn a, Asn b) {
+    const auto ia = graph_.index_of(a);
+    if (!ia) return;
+    const auto& edges = nodes[*ia].edges;
+    for (std::size_t j = 0; j < edges.size(); ++j) {
+      if (edges[j].neighbor != b) continue;
+      sync_list_.emplace_back(static_cast<std::uint32_t>(*ia), static_cast<std::uint32_t>(j));
+      sync_list_.push_back(mirror_->at(*ia, j));
+      return;
+    }
+  };
+  for (const bgp::LinkDelta& l : *toggled) add(l.a, l.b);
+  for (const TimedLinkFlip& f : flipped) add(f.a, f.b);
+  std::sort(sync_list_.begin(), sync_list_.end());
+  sync_list_.erase(std::unique(sync_list_.begin(), sync_list_.end()), sync_list_.end());
+  for (const auto& [i, j] : sync_list_) sync(i, j);
+  return sync_list_.size();
 }
 
-void PrefixSim::reset_epoch_controls() {
-  for (NodeState& n : nodes_) {
-    for (AdjState& a : n.adj) {
+void PrefixSim::touch(std::size_t node) {
+  if (is_touched_[node] != 0) return;
+  is_touched_[node] = 1;
+  touched_.push_back(static_cast<std::uint32_t>(node));
+}
+
+void PrefixSim::touch_all() {
+  for (std::size_t i = 0; i < nodes_.size(); ++i) touch(i);
+}
+
+std::size_t PrefixSim::reset_touched() {
+  for (const std::uint32_t i : touched_) {
+    for (AdjState& a : nodes_[i].adj) {
       a.pending = false;
       a.gen = 0;
       a.next_ok_us = 0;
@@ -369,8 +439,15 @@ void PrefixSim::reset_epoch_controls() {
       a.suppressed = false;
       a.reuse_queued = false;
     }
+    const bool routed = nodes_[i].best.valid();
+    timelines_[i] = NodeTimeline{};
+    timelines_[i].routed_initially = routed;
+    timelines_[i].routed_finally = routed;
+    is_touched_[i] = 0;
   }
-  queue_ = {};
+  const std::size_t reset = touched_.size();
+  touched_.clear();
+  if (!queue_.empty()) queue_ = {};
   seq_ = 0;
   events_ = 0;
   updates_sent_ = 0;
@@ -379,6 +456,7 @@ void PrefixSim::reset_epoch_controls() {
   suppressed_ = 0;
   last_event_us_ = 0;
   oscillating_ = false;
+  return reset;
 }
 
 // ---- arena compaction --------------------------------------------------------
@@ -455,7 +533,7 @@ RegionTransient PrefixSim::drain() {
         const auto& edges = graph_.nodes()[*ia].edges;
         for (std::size_t j = 0; j < edges.size(); ++j) {
           if (edges[j].neighbor != f.b) continue;
-          const auto [rn, re] = mirror_[*ia][j];
+          const auto [rn, re] = mirror_->at(*ia, j);
           apply_link_transition(*ia, j, f.up, e.time);
           apply_link_transition(rn, re, f.up, e.time);
           break;
@@ -475,7 +553,8 @@ RegionTransient PrefixSim::finalize(RegionTransient out) {
   out.suppressed = suppressed_;
   out.last_event_us = last_event_us_;
   out.oscillating = oscillating_;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+  // An untouched node's timeline is empty: it adds nothing below.
+  for (const std::uint32_t i : touched_) {
     NodeTimeline& t = timelines_[i];
     t.routed_finally = nodes_[i].best.valid();
     if (t.dark) {
@@ -499,6 +578,7 @@ RegionTransient PrefixSim::finalize(RegionTransient out) {
 }
 
 RegionTransient PrefixSim::cold_start(std::span<const bgp::OriginAttachment> origins) {
+  reset_touched();
   arena_ = bgp::PathArena{};
   const auto nodes = graph_.nodes();
   for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -512,23 +592,35 @@ RegionTransient PrefixSim::cold_start(std::span<const bgp::OriginAttachment> ori
   }
   std::fill(next_hop_.begin(), next_hop_.end(), -1);
   timelines_.assign(nodes_.size(), NodeTimeline{});
-  reset_epoch_controls();
+  touch_all();  // every node starts over, so the next run resets every node
   rebuild_pending_ = false;
   schedule_.clear();
   for (const bgp::OriginAttachment& o : origins) {
     apply_origin_change(bgp::OriginChange{true, o});
   }
-  return drain();
+  RegionTransient out = drain();
+  compact_above_ = 2 * arena_.size() + kCompactSlack;
+  return out;
 }
 
 RegionTransient PrefixSim::run_step(std::span<const bgp::OriginChange> origin_changes,
-                                    std::span<const TimedLinkFlip> schedule) {
-  compact_arena();
-  timelines_.assign(nodes_.size(), NodeTimeline{});
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    timelines_[i].routed_initially = nodes_[i].best.valid();
+                                    std::span<const TimedLinkFlip> schedule,
+                                    std::optional<std::span<const bgp::LinkDelta>> toggled) {
+  static obs::Counter& nodes_reset = obs::MetricsRegistry::global().counter("converge.nodes_reset");
+  static obs::Counter& edges_synced =
+      obs::MetricsRegistry::global().counter("converge.edges_synced");
+  static obs::Counter& compactions =
+      obs::MetricsRegistry::global().counter("converge.arena_compactions");
+  // Paths are read only by content and the queue is empty between runs, so
+  // when the arena is compacted changes no output; it bounds memory by the
+  // RIB size once the update garbage dominates.
+  const bool compact = arena_.size() > compact_above_;
+  if (compact) {
+    compact_arena();
+    compact_above_ = 2 * arena_.size() + kCompactSlack;
   }
-  reset_epoch_controls();
+  compactions.add(compact ? 1 : 0);
+  nodes_reset.add(reset_touched());
   // Recover from an oscillation-truncated epoch: drop every session's
   // Adj-RIB-In/Out (mid-flight state of unknowable consistency) and force a
   // full reselect + re-flood below, exactly like a cold start except that
@@ -536,6 +628,7 @@ RegionTransient PrefixSim::run_step(std::span<const bgp::OriginChange> origin_ch
   const bool rebuild = rebuild_pending_;
   rebuild_pending_ = false;
   if (rebuild) {
+    touch_all();
     for (NodeState& n : nodes_) {
       for (AdjState& a : n.adj) {
         a.in = Cand{};
@@ -543,6 +636,9 @@ RegionTransient PrefixSim::run_step(std::span<const bgp::OriginChange> origin_ch
       }
     }
   }
+  // The previous schedule's flips are listed for the sync before this run's
+  // schedule replaces it; the sync's own events queue after the flips.
+  std::vector<TimedLinkFlip> flipped = std::move(schedule_);
   schedule_.assign(schedule.begin(), schedule.end());
   for (std::size_t k = 0; k < schedule_.size(); ++k) {
     Event ev;
@@ -551,7 +647,7 @@ RegionTransient PrefixSim::run_step(std::span<const bgp::OriginChange> origin_ch
     ev.edge = static_cast<std::uint32_t>(k);
     push(std::move(ev));
   }
-  sync_overlay_with_graph();
+  edges_synced.add(sync_overlay_with_graph(toggled, flipped));
   for (const bgp::OriginChange& change : origin_changes) apply_origin_change(change);
   if (rebuild) {
     // reselect alone is not enough to restart the flood: a node whose best

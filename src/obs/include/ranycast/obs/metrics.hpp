@@ -88,6 +88,11 @@ class Histogram {
   explicit Histogram(std::span<const double> upper_bounds);
 
   void record(double x) noexcept;
+  /// record() of every sample in order, with one atomic update per field
+  /// (per non-empty bucket): with no other thread recording into this
+  /// histogram meanwhile, every field ends bit-equal to the per-sample
+  /// records', the sum included (it is folded in sample order).
+  void record_batch(std::span<const double> xs);
   double quantile(double q) const noexcept;
   Snapshot snapshot() const;
   std::uint64_t count() const noexcept { return count_.load(std::memory_order_relaxed); }

@@ -56,6 +56,31 @@ void Histogram::record(double x) noexcept {
   atomic_max(max_, x);
 }
 
+void Histogram::record_batch(std::span<const double> xs) {
+  if (!enabled() || xs.empty()) return;
+  std::vector<std::uint64_t> tally(buckets_.size(), 0);
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (const double x : xs) {
+    ++tally[static_cast<std::size_t>(std::lower_bound(bounds_.begin(), bounds_.end(), x) -
+                                     bounds_.begin())];
+    if (x < lo) lo = x;
+    if (x > hi) hi = x;
+  }
+  for (std::size_t b = 0; b < tally.size(); ++b) {
+    if (tally[b] != 0) buckets_[b].fetch_add(tally[b], std::memory_order_relaxed);
+  }
+  count_.fetch_add(xs.size(), std::memory_order_relaxed);
+  double sum = sum_.load(std::memory_order_relaxed);
+  for (;;) {
+    double next = sum;
+    for (const double x : xs) next += x;
+    if (sum_.compare_exchange_weak(sum, next, std::memory_order_relaxed)) break;
+  }
+  atomic_min(min_, lo);
+  atomic_max(max_, hi);
+}
+
 double Histogram::quantile(double q) const noexcept {
   const std::uint64_t total = count_.load(std::memory_order_relaxed);
   if (total == 0) return 0.0;

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <thread>
+#include <vector>
 
 #include "ranycast/io/json.hpp"
 #include "ranycast/obs/report.hpp"
@@ -134,6 +138,44 @@ TEST_F(ObsTest, HistogramQuantileClampsToObservedRange) {
   EXPECT_DOUBLE_EQ(h.quantile(1.0), 60.0);
   Histogram empty{bounds};
   EXPECT_DOUBLE_EQ(empty.quantile(0.5), 0.0);
+}
+
+TEST_F(ObsTest, HistogramBatchEqualsPerSampleRecords) {
+  // Values whose floating-point sum depends on the order of addition, both
+  // signed zeros, a NaN, infinities and every bucket: a batch must leave
+  // every field bit-equal to per-sample records into a twin histogram.
+  const double bounds[] = {1.0, 10.0, 100.0};
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> first = {0.1, 1e16, -0.0, 3.0, 0.0, 1.0, -1e16, 0.7};
+  const std::vector<double> second = {250.0, std::nan(""), 0.2, 10.0, inf, -inf, 1e-300};
+  Histogram batched{bounds};
+  Histogram single{bounds};
+  for (const auto* xs : {&first, &second}) {
+    batched.record_batch(*xs);
+    for (const double x : *xs) single.record(x);
+    const auto b = batched.snapshot();
+    const auto s = single.snapshot();
+    EXPECT_EQ(b.count, s.count);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.sum), std::bit_cast<std::uint64_t>(s.sum));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.min), std::bit_cast<std::uint64_t>(s.min));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.max), std::bit_cast<std::uint64_t>(s.max));
+    EXPECT_EQ(b.buckets, s.buckets);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.p50), std::bit_cast<std::uint64_t>(s.p50));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.p99), std::bit_cast<std::uint64_t>(s.p99));
+  }
+  batched.record_batch({});
+  EXPECT_EQ(batched.count(), single.count());
+
+  // Off: a batch records nothing.
+  set_enabled(false);
+  Histogram off{bounds};
+  off.record_batch(first);
+  set_enabled(true);
+  const auto o = off.snapshot();
+  EXPECT_EQ(o.count, 0u);
+  EXPECT_EQ(o.sum, 0.0);
+  EXPECT_EQ(o.buckets, std::vector<std::uint64_t>(4, 0));
+  EXPECT_EQ(off.quantile(0.5), 0.0);
 }
 
 TEST_F(ObsTest, SpansNestAndCompleteInOrder) {
