@@ -1,14 +1,23 @@
-// Serving-plane performance benchmarks (google-benchmark): snapshot builds,
-// the steady-state query path, and the query path under 2x overload with
-// the admission shedder on vs off. The overload benchmarks export the
-// virtual-latency quantiles and shed share as counters: with shedding the
-// served p99 stays inside the deadline budget while the unshedded queue
-// model blows straight through it. The JSON baseline lives in
-// bench/BENCH_perf_serve.json and CI gates on these via
-// tools/check_bench_regression.py --require.
+// Serving-plane performance benchmarks (google-benchmark): full snapshot
+// builds, patched refreshes (an idle one and one that applies a
+// catchment-moving link flap), the steady-state query path, and the query
+// path under 2x overload with the admission shedder on vs off. The overload
+// benchmarks export the virtual-latency quantiles and shed share as
+// counters: with shedding the served p99 stays inside the deadline budget
+// while the unshedded queue model blows straight through it. The JSON
+// baseline lives in bench/BENCH_perf_serve.json and CI gates on these via
+// tools/check_bench_regression.py --require, and on a full build costing at
+// least 10x an idle refresh via --assert-ratio.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "ranycast/cdn/catalog.hpp"
+#include "ranycast/chaos/engine.hpp"
+#include "ranycast/core/rng.hpp"
 #include "ranycast/lab/lab.hpp"
 #include "ranycast/serve/server.hpp"
 
@@ -60,6 +69,108 @@ void BM_ServeSnapshotBuild(benchmark::State& state) {
       static_cast<std::int64_t>(laboratory.census().retained().size()));
 }
 BENCHMARK(BM_ServeSnapshotBuild)->Unit(benchmark::kMillisecond);
+
+/// A refresher that starts and publishes a build on every tick: builds
+/// start each nanosecond and take none.
+serve::ServeConfig refresh_bench_config(chaos::FaultPlan world) {
+  serve::ServeConfig cfg = query_bench_config(/*shedding=*/true);
+  cfg.refresh_interval_ns = 1;
+  cfg.build_time_ns = 0;
+  cfg.world_plan = std::move(world);
+  return cfg;
+}
+
+void BM_ServeRefreshIdle(benchmark::State& state) {
+  auto laboratory = lab::Lab::create(bench_config());
+  const auto& im6 = laboratory.add_deployment(cdn::catalog::imperva6());
+  serve::Server server(laboratory, im6, refresh_bench_config({}));
+  std::uint64_t now = 0;
+  if (!server.tick(now)) {  // the first epoch: a full build
+    state.SkipWithError("first epoch failed to publish");
+    return;
+  }
+  for (auto _ : state) {
+    const auto ticked = server.tick(++now);  // a patch that applies no event
+    benchmark::DoNotOptimize(ticked);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(server.stats().epochs_published) - 1);
+}
+BENCHMARK(BM_ServeRefreshIdle)->Unit(benchmark::kMillisecond);
+
+chaos::FaultEvent link_event(chaos::FaultKind kind, const std::pair<Asn, Asn>& link) {
+  chaos::FaultEvent e;
+  e.kind = kind;
+  e.a = link.first;
+  e.b = link.second;
+  return e;
+}
+
+/// Flaps of seeded transit adjacencies (a site attachment's neighbour to
+/// one of its providers) whose loss changes the measurement pass, each
+/// taken down and brought straight back up: every event moves a catchment
+/// or an RTT, and the plan leaves the lab as it found it.
+chaos::FaultPlan moving_flaps(lab::Lab& laboratory, const lab::DeploymentHandle& handle,
+                              std::size_t links_wanted) {
+  const topo::Graph& graph = laboratory.world().graph;
+  std::vector<std::pair<Asn, Asn>> links;
+  for (const cdn::Site& site : handle.deployment.sites()) {
+    for (const cdn::Attachment& att : site.attachments) {
+      const topo::AsNode* node = graph.find(att.neighbor);
+      if (node == nullptr) continue;
+      for (const topo::Edge& edge : node->edges) {
+        if (edge.rel == topo::Rel::Provider) links.emplace_back(att.neighbor, edge.neighbor);
+      }
+    }
+  }
+  std::sort(links.begin(), links.end());
+  links.erase(std::unique(links.begin(), links.end()), links.end());
+  Rng rng(2023);
+  chaos::Engine mutator(laboratory, handle);
+  const std::uint64_t base = serve::build_snapshot(laboratory, handle, 1, 0).fingerprint;
+  chaos::FaultPlan plan;
+  plan.name = "linkflap";
+  for (std::size_t k = 0; k < links.size() && plan.events.size() < 2 * links_wanted; ++k) {
+    std::swap(links[k], links[k + rng.below(links.size() - k)]);
+    const chaos::FaultEvent down = link_event(chaos::FaultKind::LinkDown, links[k]);
+    const chaos::FaultEvent up = link_event(chaos::FaultKind::LinkUp, links[k]);
+    (void)mutator.apply_event(down);
+    const bool moves = serve::build_snapshot(laboratory, handle, 1, 0).fingerprint != base;
+    (void)mutator.apply_event(up);
+    if (moves) plan.events.insert(plan.events.end(), {down, up});
+  }
+  return plan;
+}
+
+void BM_ServeRefreshLinkFlap(benchmark::State& state) {
+  auto laboratory = lab::Lab::create(bench_config());
+  const auto& im6 = laboratory.add_deployment(cdn::catalog::imperva6());
+  const serve::ServeConfig cfg = refresh_bench_config(moving_flaps(laboratory, im6, 8));
+  if (cfg.world_plan.events.empty()) {
+    state.SkipWithError("no transit link moves a catchment");
+    return;
+  }
+  std::unique_ptr<serve::Server> server;
+  std::uint64_t now = 0;
+  for (auto _ : state) {
+    if (server == nullptr || server->stats().world_events_applied == cfg.world_plan.events.size()) {
+      // The plan ran out and left the lab as it found it: a new server
+      // replays it from a full first build, off the clock.
+      state.PauseTiming();
+      server = std::make_unique<serve::Server>(laboratory, im6, cfg);
+      now = 0;
+      const bool first = server->tick(now).has_value();
+      state.ResumeTiming();
+      if (!first) {
+        state.SkipWithError("first epoch failed to publish");
+        return;
+      }
+    }
+    const auto ticked = server->tick(++now);  // a patch across one link event
+    benchmark::DoNotOptimize(ticked);
+  }
+  state.counters["plan_events"] = static_cast<double>(cfg.world_plan.events.size());
+}
+BENCHMARK(BM_ServeRefreshLinkFlap)->Unit(benchmark::kMillisecond);
 
 /// Drive the query path with virtual arrivals every `arrival_ns`. 2x
 /// overload = arrivals twice as dense as the modeled service rate.

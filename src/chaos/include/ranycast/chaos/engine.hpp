@@ -21,7 +21,9 @@
 // region DNS answered them with (lab::Lab::remeasure) — a probe's row reads
 // nothing else, and an unchanged AS row keeps its path and RTT bits. Demand
 // events copy the before-pass; geo-DB and measurement-fault events
-// re-measure in full.
+// re-measure in full. That rule lives in one private routine; apply_event
+// runs it too when handed a pass, which is how the serving plane patches
+// its previous epoch instead of measuring the world again.
 //
 // The traffic plane follows the same rule: the engine carries each probe's
 // traffic assignment next to the solve over it, a routing step re-assigns
@@ -213,13 +215,15 @@ class Engine {
   /// builds on: its refresher advances the world one event per snapshot
   /// build, and its resume path fast-forwards by re-applying the
   /// already-consumed prefix, exactly like run_guarded's own replay.
-  /// Returns "" on success, else the error message. A convergence plane,
-  /// which is handed each measured step's changes, does not see this event:
-  /// it is dropped and cold-starts before the next measured step.
-  std::string apply_event(const FaultEvent& e) {
-    plane_.reset();
-    return apply(e);
-  }
+  /// Given `pass`, a measurement pass (Lab::measure) of the lab before the
+  /// event, it also moves that pass onto the lab after the event by the
+  /// rule a measured step's after-pass follows, so it ends equal to a fresh
+  /// Lab::measure; the serving plane patches its previous epoch this way.
+  /// Returns "" on success, else the error message (and then neither the
+  /// lab nor `pass` changed). A convergence plane, which is handed each
+  /// measured step's changes, does not see this event: it is dropped and
+  /// cold-starts before the next measured step.
+  std::string apply_event(const FaultEvent& e, std::vector<lab::Measurement>* pass = nullptr);
 
  private:
   struct Carry;  // measurements of the current lab state, kept across steps
@@ -245,6 +249,13 @@ class Engine {
   /// moved; `Reach::reassign` is filled only when `assigns` is set.
   Reach reach(const std::vector<lab::Measurement>& rows,
               const std::vector<bgp::ChangedRows>& changed, bool assigns);
+  /// Moves `rows`, a pass of the lab before the applied event that
+  /// `changes` describes, onto the lab after it; the one rule both a
+  /// measured step and a patching apply_event follow. A geo-DB or
+  /// measurement-fault event re-measures every row. A routing event keeps
+  /// every DNS answer and redoes route and ping for the rows reach() finds
+  /// (and returns that reach). A demand event changes no row.
+  Reach after_pass(const Changes& changes, std::vector<lab::Measurement>& rows, bool assigns);
   /// Build (or rebuild after a resume) the convergence plane from the lab's
   /// current state; no-op unless enable_transient was called.
   void ensure_plane();

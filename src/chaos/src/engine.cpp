@@ -383,8 +383,9 @@ std::string Engine::apply(const FaultEvent& e, Changes* changed) {
     for (std::size_t r = 0; r < origins_after.size(); ++r) {
       delta.origins[r] = bgp::diff_origin_changes(origins_before[r], origins_after[r]);
     }
-    // Only a measured step reads the changed rows; serve's drift hook and
-    // the resume fast-forward do not ask for them.
+    // Only a pass moved across the event reads the changed rows: a measured
+    // step, or serve's drift hook patching its epoch. The resume
+    // fast-forward does not ask for them.
     const bgp::DeltaStats stats =
         lab_.resolve_delta(*handle_, delta, changed != nullptr ? &changes.rows : nullptr);
     changes.origins = std::move(delta.origins);
@@ -400,6 +401,27 @@ std::string Engine::apply(const FaultEvent& e, Changes* changed) {
     }
   }
   if (changed != nullptr) *changed = std::move(changes);
+  return "";
+}
+
+Engine::Reach Engine::after_pass(const Changes& changes, std::vector<lab::Measurement>& rows,
+                                 bool assigns) {
+  Reach reached;
+  if (changes.dns) {
+    lab_.measure(*handle_, rows);
+  } else if (changes.routes) {
+    reached = reach(rows, changes.rows, assigns);
+    lab_.remeasure(*handle_, rows, reached.remeasure);
+  }
+  return reached;
+}
+
+std::string Engine::apply_event(const FaultEvent& e, std::vector<lab::Measurement>* pass) {
+  plane_.reset();
+  if (pass == nullptr) return apply(e);
+  Changes changes;
+  if (std::string err = apply(e, &changes); !err.empty()) return err;
+  after_pass(changes, *pass, /*assigns=*/false);
   return "";
 }
 
@@ -458,18 +480,12 @@ core::Expected<StepReport, std::string> Engine::execute_step(
     // Redo only the stages whose inputs the event changed, and on a routing
     // step only for the probes whose AS row the re-solve changed.
     obs::Span measure_span("chaos.measure.after");
-    if (changes.dns) {
-      passes.add();
-      lab_.measure(*handle_, after);
-    } else {
-      after = before;  // DNS answers stand; a demand step moves nothing else
-      if (changes.routes) {
-        reached = reach(before, changes.rows, traffic_on);
-        passes.add();
-        dns_reused.add(after.size());
-        remeasured.add(reached.remeasure.size());
-        lab_.remeasure(*handle_, after, reached.remeasure);
-      }
+    after = before;
+    reached = after_pass(changes, after, traffic_on);
+    if (changes.dns || changes.routes) passes.add();
+    if (!changes.dns && changes.routes) {
+      dns_reused.add(after.size());
+      remeasured.add(reached.remeasure.size());
     }
   }
 

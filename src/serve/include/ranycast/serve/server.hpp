@@ -5,6 +5,16 @@
 // snapshot off the drifting world (the chaos plan's mutations) and a
 // seeded serve::FaultPlan injects refresher and query faults underneath.
 //
+// A refresh patches the last epoch this process built instead of measuring
+// the world again: it copies that epoch's rows and lets the world event
+// move them (chaos::Engine::apply_event with a pass), so a build that
+// applies no event is a copy, and a routing event redoes only the rows its
+// re-solve reached. The fingerprint is recomputed only when an event was
+// applied. The first build of a process, and of a resumed one, measures in
+// full. Patching assumes the lab drifts only through `world_plan`: anything
+// else that mutates the lab under a running server leaves the patched
+// epochs describing the old world.
+//
 // The core is a *deterministic virtual-time state machine*: tick(now_ns)
 // advances the refresher, query(...) answers one arrival — both are pure
 // functions of (config, plans, lab state, virtual time), never of the wall
@@ -85,7 +95,9 @@ struct ServeConfig {
   /// Virtual latency from build start to publishable snapshot.
   std::uint64_t build_time_ns{200'000'000};
   /// World drift: one event is applied to the lab per successful build
-  /// start, in order, until the plan is exhausted.
+  /// start, in order, until the plan is exhausted. While a server runs, the
+  /// lab must drift only through this plan: builds patch the previous
+  /// epoch across these events alone.
   chaos::FaultPlan world_plan;
   /// Serving-plane fault timeline.
   FaultPlan faults;
@@ -192,14 +204,16 @@ class Server {
   /// admission, stats, latency digest) into a checkpoint payload.
   void save(guard::ByteWriter& w) const;
   /// Restore from a payload that ends with the server's state; re-applies
-  /// the consumed world-drift events, then rebuilds an in-flight build.
-  /// False on a short, garbled or over-long payload or a failed replay.
+  /// the consumed world-drift events, then rebuilds an in-flight build in
+  /// full. False on a short, garbled or over-long payload, on one whose
+  /// epoch counter disagrees with its published snapshot or its stats (or
+  /// whose drift counts disagree), or on a failed replay.
   bool load(guard::ByteReader& r);
 
  private:
   /// Start a build at virtual time `t` (consumes a world event unless the
-  /// fault plan fails this build). Returns an error string on an
-  /// unappliable world event.
+  /// fault plan fails this build), patching base_ when there is one.
+  /// Returns an error string on an unappliable world event.
   std::string start_build(std::uint64_t t_ns);
   /// Complete the in-flight build at its virtual done-time.
   void finish_build();
@@ -226,6 +240,10 @@ class Server {
   std::uint64_t build_started_ns_{0};
   std::uint64_t build_done_at_ns_{0};
   std::shared_ptr<const WorldSnapshot> pending_;
+  /// The last snapshot this process built, which the next build patches;
+  /// null after construction and after load (a null base means a full
+  /// Lab::measure).
+  std::shared_ptr<const WorldSnapshot> base_;
   std::uint64_t epoch_counter_{0};
   std::uint32_t consecutive_failures_{0};
   std::uint64_t world_events_applied_{0};

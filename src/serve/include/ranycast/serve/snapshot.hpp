@@ -4,7 +4,10 @@
 // pass (lab::Lab::measure), one row per retained probe with the
 // site/region/address the deployment currently maps it to and the RTT it
 // would measure. Snapshots are built by the refresher off the
-// live lab (chaos mutations included), published with an atomic
+// live lab (chaos mutations included): in full by build_snapshot, or, once
+// the process has built one, as a patch of the previous epoch whose rows
+// the world event moved (serve::Server, chaos::Engine::apply_event). Both
+// give the same rows and fingerprint. They are published with an atomic
 // shared_ptr swap (RCU-style: readers pin an epoch by copying the pointer,
 // retired epochs are reclaimed when the last reader drops its pin) and are
 // never mutated after publish — a query either sees the whole epoch or the
@@ -45,7 +48,8 @@ struct WorldSnapshot {
 
 /// lab::Lab::measure of the deployment's current routes, fingerprinted:
 /// the same lab state yields byte-identical snapshots at any worker count.
-/// `built_at_ns` is virtual serving time, never wall clock.
+/// `built_at_ns` is virtual serving time, never wall clock. The full build,
+/// and the reference a patched epoch must equal.
 WorldSnapshot build_snapshot(lab::Lab& laboratory, const lab::DeploymentHandle& handle,
                              std::uint64_t epoch, std::uint64_t built_at_ns);
 

@@ -165,12 +165,19 @@ std::string Server::start_build(std::uint64_t t_ns) {
   building_ = true;
   pending_.reset();
   if (!build_will_fail_) {
+    // A build patches the last epoch this process built: its rows, moved
+    // across the world event by the engine's after-pass rule, equal a full
+    // measurement of the lab after the event. Without that base it measures
+    // in full.
+    WorldSnapshot snap;
+    if (base_ != nullptr) snap = *base_;
     // The world drifts one chaos event per successful build start: a failed
     // build consumes nothing, so the retry rebuilds against the same world.
-    if (world_events_applied_ < cfg_.world_plan.events.size()) {
+    const bool drifts = world_events_applied_ < cfg_.world_plan.events.size();
+    if (drifts) {
       const chaos::FaultEvent& e =
           cfg_.world_plan.events[static_cast<std::size_t>(world_events_applied_)];
-      std::string err = engine_.apply_event(e);
+      std::string err = engine_.apply_event(e, base_ != nullptr ? &snap.entries : nullptr);
       if (!err.empty()) {
         building_ = false;
         return err;
@@ -178,9 +185,15 @@ std::string Server::start_build(std::uint64_t t_ns) {
       ++world_events_applied_;
       ++stats_.world_events_applied;
     }
-    WorldSnapshot snap =
-        build_snapshot(lab_, handle_, epoch_counter_ + 1, build_done_at_ns_);
+    if (base_ == nullptr) {
+      snap = build_snapshot(lab_, handle_, epoch_counter_ + 1, build_done_at_ns_);
+    } else {
+      snap.epoch = epoch_counter_ + 1;
+      snap.built_at_ns = build_done_at_ns_;
+      if (drifts) snap.fingerprint = snapshot_fingerprint(snap);
+    }
     pending_ = std::make_shared<const WorldSnapshot>(std::move(snap));
+    base_ = pending_;
   }
   return {};
 }
@@ -331,6 +344,9 @@ void Server::save(guard::ByteWriter& w) const {
 
 bool Server::load(guard::ByteReader& r) {
   const std::lock_guard<std::mutex> lock(mutex_);
+  // A decoded epoch never becomes a patch base: the first build after a
+  // load (the in-flight rebuild below included) measures in full.
+  base_.reset();
   next_build_at_ns_ = r.u64();
   const bool was_building = r.u8() != 0;
   build_will_fail_ = r.u8() != 0;
@@ -351,6 +367,16 @@ bool Server::load(guard::ByteReader& r) {
   // The server's state is the tail of the checkpoint payload: bytes left
   // over mean a layout this binary does not write.
   if (!r.ok() || !r.at_end()) return false;
+  // A publish moves the snapshot, the epoch counter and its stats together,
+  // and a drift event moves both event counts: a payload where they
+  // disagree was not written by save(), and resuming it could step the
+  // published epoch backwards.
+  if ((restored != nullptr) != (epoch_counter_ != 0) ||
+      (restored != nullptr && restored->epoch != epoch_counter_) ||
+      stats_.epochs_published != epoch_counter_ ||
+      stats_.world_events_applied != world_events_applied_) {
+    return false;
+  }
   // Fast-forward the world: re-apply the events the dead process consumed,
   // in order, so the lab reaches the exact state the checkpoint was taken
   // in. The mutations are deterministic; measurements are pure in lab
@@ -364,9 +390,9 @@ bool Server::load(guard::ByteReader& r) {
     const std::lock_guard<std::mutex> snap_lock(snapshot_mutex_);
     snapshot_ = std::move(restored);
   }
-  // An interrupted in-flight build is restarted from scratch on the next
-  // tick: rebuilding is idempotent (the world event was already consumed and
-  // replayed above), so the published epoch stream is unchanged.
+  // An interrupted in-flight build is rebuilt here in full: rebuilding is
+  // idempotent (the world event was already consumed and replayed above),
+  // so the published epoch stream is unchanged.
   building_ = was_building;
   pending_.reset();
   if (building_) {

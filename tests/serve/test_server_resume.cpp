@@ -1,6 +1,9 @@
 // Crash-restart: save() mid-run, load() into a fresh server over a fresh
 // lab, and the continued answer stream is byte-identical — including when
-// the checkpoint lands during an in-flight (or failing) build.
+// the checkpoint lands during an in-flight (or failing) build. The resumed
+// server's first build is full and later ones patch the previous epoch,
+// while the uninterrupted server patches throughout; the worlds drift
+// through site, geo-DB, measurement-fault and transit-link events.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,6 +15,7 @@
 #include "ranycast/chaos/plan.hpp"
 #include "ranycast/core/rng.hpp"
 #include "ranycast/serve/server.hpp"
+#include "world_plans.hpp"
 
 namespace ranycast::serve {
 namespace {
@@ -70,8 +74,9 @@ void drive(Server& server, std::size_t from, std::size_t to,
 
 class ServerResumeTest : public ::testing::Test {
  protected:
-  static ServeConfig faulty_config() {
+  static ServeConfig faulty_config(const chaos::FaultPlan& world) {
     ServeConfig cfg = resume_config();
+    cfg.world_plan = world;
     cfg.faults.events.push_back(
         {ServeFaultKind::BuildFail, 1'500'000'000, 1'000'000'000, 0, 0});
     cfg.faults.events.push_back(
@@ -79,9 +84,11 @@ class ServerResumeTest : public ::testing::Test {
     return cfg;
   }
 
-  /// Uninterrupted baseline vs save-at-`cut`/load-into-fresh-world resume.
-  void expect_resume_identical(std::size_t cut, std::size_t total) {
-    const ServeConfig cfg = faulty_config();
+  /// Uninterrupted baseline vs save-at-`cut`/load-into-fresh-world resume,
+  /// the world drifting through `world`.
+  void expect_resume_identical(const chaos::FaultPlan& world, std::size_t cut,
+                               std::size_t total) {
+    const ServeConfig cfg = faulty_config(world);
 
     lab::Lab baseline_lab = lab::Lab::create(small_config());
     Server baseline(baseline_lab,
@@ -119,9 +126,18 @@ class ServerResumeTest : public ::testing::Test {
 TEST_F(ServerResumeTest, ResumeAnywhereIsByteIdentical) {
   // Cuts chosen to land in every interesting refresher phase: idle, mid
   // successful build, mid failing build (the 1.5-2.5s BuildFail window),
-  // and inside the slow-query window.
-  for (const std::size_t cut : {3u, 12u, 17u, 21u, 27u}) {
-    expect_resume_identical(cut, 35);
+  // and inside the slow-query window. Builds start each second and the one
+  // at 2s fails, so the cuts fall before, during and after the builds that
+  // apply each plan's first three events.
+  const std::vector<chaos::FaultPlan> worlds = {
+      chaos::single_site_withdrawal(SiteId{0}),
+      test_plans::scenario("chaos_cascade.json"),
+      test_plans::moving_link_flaps(small_config(), 2023, 2)};
+  for (const chaos::FaultPlan& world : worlds) {
+    SCOPED_TRACE(world.name);
+    for (const std::size_t cut : {3u, 12u, 17u, 21u, 27u}) {
+      expect_resume_identical(world, cut, 35);
+    }
   }
 }
 
@@ -197,6 +213,44 @@ TEST(ServerResume, LoadRejectsTrailingBytes) {
   Server c(lab_c, lab_c.add_deployment(cdn::catalog::imperva6()), resume_config());
   guard::ByteReader longer(bytes);
   EXPECT_FALSE(c.load(longer));
+}
+
+TEST(ServerResume, LoadRejectsCountersAtOddsWithTheSnapshot) {
+  // A payload can pass every decode check and still contradict itself. An
+  // epoch counter behind the published snapshot would make the next publish
+  // step the epoch backwards.
+  lab::Lab lab_a = lab::Lab::create(small_config());
+  Server a(lab_a, lab_a.add_deployment(cdn::catalog::imperva6()), resume_config());
+  ASSERT_TRUE(a.tick(1'600'000'000).has_value());  // epochs 1 and 2 are published
+  ASSERT_EQ(a.current_epoch(), 2u);
+  guard::ByteWriter w;
+  a.save(w);
+  const std::vector<std::uint8_t> bytes = w.take();
+
+  // The epoch counter follows next_build_at (u64), the building and
+  // will-fail flags (u8 each) and the build's start and done times (u64
+  // each). The stats block ends the payload: epochs_published, builds_failed
+  // and world_events_applied are its last three u64 fields.
+  constexpr std::size_t kCounterAt = 8 + 1 + 1 + 8 + 8;
+  const std::size_t published_at = bytes.size() - 24;
+  const std::size_t events_at = bytes.size() - 8;
+  const auto rewritten = [&](std::size_t at, std::uint64_t v) {
+    std::vector<std::uint8_t> out = bytes;
+    for (std::size_t k = 0; k < 8; ++k) out[at + k] = static_cast<std::uint8_t>(v >> (8 * k));
+    return out;
+  };
+  const auto loads = [](const std::vector<std::uint8_t>& payload) {
+    lab::Lab lab_b = lab::Lab::create(small_config());
+    Server b(lab_b, lab_b.add_deployment(cdn::catalog::imperva6()), resume_config());
+    guard::ByteReader r(payload);
+    return b.load(r);
+  };
+  ASSERT_TRUE(loads(rewritten(kCounterAt, 2)));  // the payload as saved
+  for (const std::uint64_t counter : {0u, 1u, 3u}) {
+    EXPECT_FALSE(loads(rewritten(kCounterAt, counter))) << "epoch counter " << counter;
+  }
+  EXPECT_FALSE(loads(rewritten(published_at, 1))) << "epochs_published";
+  EXPECT_FALSE(loads(rewritten(events_at, 0))) << "world_events_applied";
 }
 
 }  // namespace
