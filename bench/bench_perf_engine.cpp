@@ -1,6 +1,6 @@
 // Engine micro/macro benchmarks (google-benchmark): world generation, BGP
-// anycast solving, end-to-end measurement throughput, K-Means, and the
-// geolocation pipeline's building blocks.
+// anycast solving, end-to-end measurement throughput (DNS lookups, pings,
+// traceroutes), K-Means, and the geolocation pipeline's building blocks.
 #include <benchmark/benchmark.h>
 
 #include "ranycast/atlas/grouping.hpp"
@@ -57,6 +57,23 @@ void BM_PingAllProbes(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(retained.size()));
 }
 BENCHMARK(BM_PingAllProbes)->Unit(benchmark::kMillisecond);
+
+void BM_DnsLookupAllProbes(benchmark::State& state) {
+  auto laboratory = lab::Lab::create({});
+  const auto& handle = laboratory.add_deployment(cdn::catalog::imperva6());
+  const auto retained = laboratory.census().retained();
+  const auto mode = state.range(0) == 0 ? dns::QueryMode::Ldns : dns::QueryMode::Adns;
+  for (auto _ : state) {
+    std::size_t regions = 0;
+    for (const auto& answer : laboratory.dns_lookup_all(retained, handle, mode)) {
+      regions += answer.region;
+    }
+    benchmark::DoNotOptimize(regions);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(retained.size()));
+}
+// Argument 0: LDNS mode; 1: ADNS mode.
+BENCHMARK(BM_DnsLookupAllProbes)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_TracerouteAllProbes(benchmark::State& state) {
   auto laboratory = lab::Lab::create({});

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "ranycast/atlas/probe.hpp"
+#include "ranycast/dns/geo_database.hpp"
 #include "ranycast/topo/generator.hpp"
 #include "ranycast/topo/ip_registry.hpp"
 
@@ -37,6 +38,16 @@ class ProbeCensus {
 
   std::span<const Probe> probes() const noexcept { return probes_; }
 
+  /// Ground truth of the address the authoritative DNS sees from `probe`
+  /// (dns::effective_address) in `mode`. generate() resolves it once the
+  /// last probe-host address is registered. nullptr for a probe this census
+  /// did not draw (a copy included).
+  const dns::AddressTruth* dns_truth(const Probe& probe, dns::QueryMode mode) const {
+    const std::size_t i = value(probe.id);
+    if (i >= probes_.size() || &probes_[i] != &probe) return nullptr;
+    return &dns_truth_[i][static_cast<std::size_t>(mode)];
+  }
+
   /// Probes surviving the §3.1 filter (stability tag + reliable geocode).
   std::vector<const Probe*> retained() const;
 
@@ -45,6 +56,10 @@ class ProbeCensus {
 
  private:
   std::vector<Probe> probes_;
+  /// dns_truth_[i] belongs to probes_[i], indexed by dns::QueryMode. Kept
+  /// apart from Probe: a larger probe array raises glibc's dynamic mmap
+  /// threshold and measurably grows peak RSS.
+  std::vector<std::array<dns::AddressTruth, 2>> dns_truth_;
 };
 
 }  // namespace ranycast::atlas

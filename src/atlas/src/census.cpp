@@ -158,6 +158,20 @@ ProbeCensus ProbeCensus::generate(const topo::World& world, topo::IpRegistry& re
     }
     census.probes_.push_back(p);
   }
+
+  // Every probe-host address is registered now, and nothing registers one
+  // later: traceroutes add router interfaces below block offset 4096 and
+  // anycast prefixes come from 192.0.0.0 up. No AS's home, registration or
+  // international flag changes after world generation either, so the truth
+  // behind each probe's DNS-visible address is fixed from here on.
+  census.dns_truth_.resize(census.probes_.size());
+  for (std::size_t i = 0; i < census.probes_.size(); ++i) {
+    for (const dns::QueryMode mode : {dns::QueryMode::Ldns, dns::QueryMode::Adns}) {
+      census.dns_truth_[i][static_cast<std::size_t>(mode)] = dns::address_truth(
+          world.graph, registry,
+          dns::effective_address(census.probes_[i].query_context(), mode));
+    }
+  }
   return census;
 }
 

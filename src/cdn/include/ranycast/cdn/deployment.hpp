@@ -11,7 +11,7 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "ranycast/bgp/route.hpp"
@@ -53,7 +53,10 @@ struct Region {
 
 class Deployment {
  public:
-  Deployment(std::string name, Asn asn) : name_(std::move(name)), asn_(asn) {}
+  Deployment(std::string name, Asn asn)
+      : name_(std::move(name)),
+        asn_(asn),
+        country_region_(geo::Gazetteer::world().countries().size()) {}
 
   const std::string& name() const noexcept { return name_; }
   Asn asn() const noexcept { return asn_; }
@@ -67,8 +70,15 @@ class Deployment {
   // --- construction (used by the builder) ---
   std::size_t add_region(Region r);
   SiteId add_site(Site s);  ///< id is assigned; returns it
-  void set_country_region(std::string iso2, std::size_t region);
+  /// Override the region of one country. Throws std::invalid_argument for
+  /// an ISO2 code the gazetteer does not know: no geo-DB answer could ever
+  /// match it.
+  void set_country_region(std::string_view iso2, std::size_t region);
   void set_area_region(geo::Area a, std::size_t region);
+  /// Take `from`'s client-mapping policy (area defaults and country
+  /// overrides): the deployment transforms map clients as the deployment
+  /// they derive from does.
+  void copy_mapping_policy(const Deployment& from);
 
   // --- in-place fault operations (chaos engine) ---
   //
@@ -95,18 +105,21 @@ class Deployment {
   bool set_attachment_state(SiteId site, std::size_t attachment, bool up);
 
   // --- client mapping policy ---
-  /// Region intended for a (correctly geolocated) country.
+  /// The override of a country given by ISO2, nullopt when it has none.
   std::optional<std::size_t> region_for_country(std::string_view iso2) const;
-  /// The full country-override table (for deployment transforms).
-  const std::unordered_map<std::string, std::size_t>& country_regions() const noexcept {
-    return country_region_;
-  }
   /// Region intended for clients in an area with no country override.
   std::size_t region_for_area(geo::Area a) const noexcept { return area_default_[static_cast<int>(a)]; }
+  /// Region intended for a (correctly geolocated) country: its override,
+  /// else its area's default.
+  std::size_t region_for(geo::CountryIdx country) const {
+    if (const auto r = country_region_[country]) return *r;
+    return region_for_area(geo::area_of(geo::Gazetteer::world().countries()[country].continent));
+  }
 
-  /// The DNS decision: geolocate `effective` through `db` and apply the
-  /// mapping policy. Falls back to region 0 when the address is unknown.
-  std::size_t map_client(Ipv4Addr effective, const dns::GeoDatabase& db) const;
+  /// The DNS decision: geolocate the effective address whose ground truth
+  /// is `truth` through `db` and apply the mapping policy. Falls back to
+  /// region 0 when `db` cannot place the address.
+  std::size_t map_client(const dns::AddressTruth& truth, const dns::GeoDatabase& db) const;
 
   /// Ground-truth mapping for a client whose true city is known — what DNS
   /// *should* return under this deployment's geographic policy. Used to
@@ -127,7 +140,8 @@ class Deployment {
   Asn asn_;
   std::vector<Site> sites_;
   std::vector<Region> regions_;
-  std::unordered_map<std::string, std::size_t> country_region_;
+  /// Country overrides, indexed by geo::CountryIdx.
+  std::vector<std::optional<std::size_t>> country_region_;
   std::array<std::size_t, geo::kAreaCount> area_default_{0, 0, 0, 0};
 };
 

@@ -1,6 +1,7 @@
 #include "ranycast/cdn/deployment.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace ranycast::cdn {
 
@@ -19,12 +20,22 @@ SiteId Deployment::add_site(Site s) {
   return sites_.back().id;
 }
 
-void Deployment::set_country_region(std::string iso2, std::size_t region) {
-  country_region_[std::move(iso2)] = region;
+void Deployment::set_country_region(std::string_view iso2, std::size_t region) {
+  const auto idx = geo::Gazetteer::world().find_country(iso2);
+  if (!idx) {
+    throw std::invalid_argument("deployment '" + name_ + "': unknown country code '" +
+                                std::string(iso2) + "'");
+  }
+  country_region_[*idx] = region;
 }
 
 void Deployment::set_area_region(geo::Area a, std::size_t region) {
   area_default_[static_cast<int>(a)] = region;
+}
+
+void Deployment::copy_mapping_policy(const Deployment& from) {
+  country_region_ = from.country_region_;
+  area_default_ = from.area_default_;
 }
 
 std::vector<std::size_t> Deployment::withdraw_site(SiteId site) {
@@ -65,28 +76,21 @@ bool Deployment::set_attachment_state(SiteId site, std::size_t attachment, bool 
 }
 
 std::optional<std::size_t> Deployment::region_for_country(std::string_view iso2) const {
-  if (const auto it = country_region_.find(std::string(iso2)); it != country_region_.end()) {
-    return it->second;
-  }
-  return std::nullopt;
+  const auto idx = geo::Gazetteer::world().find_country(iso2);
+  if (!idx) return std::nullopt;
+  return country_region_[*idx];
 }
 
-std::size_t Deployment::map_client(Ipv4Addr effective, const dns::GeoDatabase& db) const {
+std::size_t Deployment::map_client(const dns::AddressTruth& truth,
+                                   const dns::GeoDatabase& db) const {
   if (is_global()) return 0;
-  const auto country = db.country(effective);
-  if (!country) return 0;
-  if (const auto r = region_for_country(*country)) return *r;
-  const auto& gaz = geo::Gazetteer::world();
-  const auto idx = gaz.find_country(*country);
-  if (!idx) return 0;
-  return region_for_area(geo::area_of(gaz.countries()[*idx].continent));
+  const auto country = db.country_index(truth);
+  return country ? region_for(*country) : 0;
 }
 
 std::size_t Deployment::intended_region(CityId true_city) const {
   if (is_global()) return 0;
-  const auto& gaz = geo::Gazetteer::world();
-  if (const auto r = region_for_country(gaz.country_code(true_city))) return *r;
-  return region_for_area(gaz.area_of_city(true_city));
+  return region_for(geo::Gazetteer::world().city(true_city).country);
 }
 
 std::optional<std::size_t> Deployment::region_of_ip(Ipv4Addr a) const {

@@ -37,7 +37,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -259,8 +258,6 @@ class Engine {
   /// Build (or rebuild after a resume) the convergence plane from the lab's
   /// current state; no-op unless enable_transient was called.
   void ensure_plane();
-  /// probe_nodes_, built on first use.
-  const std::vector<std::uint32_t>& probe_nodes();
   /// before-pass → apply → after-pass → reduce for one event; shared
   /// between run() and run_guarded(). Reuses (and leaves behind for the next
   /// step) the measurements in `carry`. When transient recording is on, also
@@ -302,11 +299,6 @@ class Engine {
   bool groups_built_{false};
   std::optional<std::pair<std::uint64_t, traffic::FlowSet>> flow_cache_;
   std::optional<bgp::DeltaStats> last_step_delta_;
-  /// Dense node index of each retained probe's AS (kNoNode when the AS is
-  /// not in the graph): Graph::index_of is a hash lookup, too slow to repeat
-  /// per probe per step.
-  std::vector<std::uint32_t> probe_nodes_;
-  static constexpr std::uint32_t kNoNode = std::numeric_limits<std::uint32_t>::max();
 };
 
 }  // namespace ranycast::chaos

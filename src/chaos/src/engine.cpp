@@ -196,22 +196,9 @@ void Engine::ensure_plane() {
   plane_->rebuild();
 }
 
-const std::vector<std::uint32_t>& Engine::probe_nodes() {
-  if (probe_nodes_.size() != retained_.size()) {
-    const topo::Graph& graph = lab_.world().graph;
-    probe_nodes_.resize(retained_.size());
-    for (std::size_t i = 0; i < retained_.size(); ++i) {
-      const auto idx = graph.index_of(retained_[i]->asn);
-      probe_nodes_[i] = idx ? static_cast<std::uint32_t>(*idx) : kNoNode;
-    }
-  }
-  return probe_nodes_;
-}
-
 Engine::Reach Engine::reach(const std::vector<lab::Measurement>& rows,
                             const std::vector<bgp::ChangedRows>& changed, bool assigns) {
   const topo::Graph& graph = lab_.world().graph;
-  const std::vector<std::uint32_t>& nodes = probe_nodes();
   // Per region with changed rows, a byte per dense node index.
   std::vector<std::vector<std::uint8_t>> marks(changed.size());
   for (std::size_t r = 0; r < changed.size(); ++r) {
@@ -219,12 +206,12 @@ Engine::Reach Engine::reach(const std::vector<lab::Measurement>& rows,
     marks[r].assign(graph.nodes().size(), 0);
     for (const std::uint32_t x : changed[r].rows) marks[r][x] = 1;
   }
-  const auto moved_in = [&](std::size_t r, std::uint32_t x) {
-    return changed[r].all || (!marks[r].empty() && x != kNoNode && marks[r][x] != 0);
+  const auto moved_in = [&](std::size_t r, std::optional<std::size_t> x) {
+    return changed[r].all || (!marks[r].empty() && x && marks[r][*x] != 0);
   };
   Reach out;
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const std::uint32_t x = nodes[i];
+    const auto x = graph.index_of(retained_[i]->asn);
     if (moved_in(rows[i].region, x)) out.remeasure.push_back(static_cast<std::uint32_t>(i));
     if (!assigns) continue;
     for (std::size_t r = 0; r < changed.size(); ++r) {
@@ -242,8 +229,9 @@ std::string Engine::apply(const FaultEvent& e, Changes* changed) {
   const auto sites = handle_->deployment.sites().size();
   const auto regions = handle_->deployment.regions().size();
   // Each kind records which measurement inputs it changed. Routing faults
-  // change routes only: Deployment::map_client reads just the geo DB and the
-  // country/area tables, which they never touch, so DNS answers stand.
+  // change routes only: DNS reads the probes' census-time address truth, the
+  // geo DB and the country/area tables, none of which a routing fault
+  // touches, so DNS answers stand.
   // Demand (traffic_surge/_restore) is no measurement input at all.
   Changes changes;
   last_step_delta_.reset();
@@ -565,13 +553,10 @@ core::Expected<StepReport, std::string> Engine::execute_step(
     // Probes enter the transient rollup from the pre-fault view: the AS they
     // measure from and the regional prefix they were being served from when
     // the fault hit — that prefix's convergence is their outage.
-    const std::vector<std::uint32_t>& nodes = probe_nodes();
     std::vector<converge::ProbeRef> refs;
     refs.reserve(before.size());
     for (std::size_t p = 0; p < before.size(); ++p) {
-      converge::ProbeRef ref{retained_[p]->asn, before[p].region};
-      if (nodes[p] != kNoNode) ref.node = nodes[p];
-      refs.push_back(ref);
+      refs.push_back(converge::ProbeRef{retained_[p]->asn, before[p].region});
     }
     transient_out->push_back(
         plane_->step(index, describe(event), changes.origins, refs, changes.links));

@@ -28,9 +28,6 @@ namespace ranycast::converge {
 struct ProbeRef {
   Asn asn{kInvalidAsn};
   std::size_t region{0};
-  /// `asn`'s dense node index when the caller holds it; the plane looks the
-  /// ASN up otherwise.
-  std::optional<std::uint32_t> node{};
 };
 
 /// One chaos step's transient, across all regions of a deployment.

@@ -95,8 +95,7 @@ StepTransient Plane::step(std::size_t index, std::string event,
   std::vector<double> blackhole_ms;
   out.probes = probes.size();
   for (const ProbeRef& p : probes) {
-    std::optional<std::size_t> idx = p.node;
-    if (!idx) idx = graph.index_of(p.asn);
+    const auto idx = graph.index_of(p.asn);
     if (!idx || p.region >= sims_.size()) continue;
     const NodeTimeline& t = sims_[p.region]->timelines()[*idx];
     if (t.blackhole_us > 0) {

@@ -21,6 +21,28 @@
 
 namespace ranycast::dns {
 
+/// Ground truth of one address: the AS that owns it and where its interface
+/// is. The geolocation databases corrupt this and nothing else. It is fixed
+/// once the address is registered, because no AS's home, registration or
+/// international flag changes after world generation.
+struct AddressTruth {
+  Asn asn{kInvalidAsn};  ///< owner; kInvalidAsn when the address cannot be located
+  CityId city{kInvalidCity};  ///< true interface city (the owner's home if unknown)
+  /// Where the owner's space is registered (WHOIS); `city` for an owner
+  /// outside the AS graph.
+  CityId registered_city{kInvalidCity};
+  bool international{false};
+
+  bool known() const noexcept { return asn != kInvalidAsn; }
+  bool operator==(const AddressTruth&) const = default;
+};
+
+/// The ground truth of `ip` from the address plan and the AS graph. Unknown
+/// for unallocated space and for an owner outside the graph with no
+/// registered interface city.
+AddressTruth address_truth(const topo::Graph& graph, const topo::IpRegistry& registry,
+                           Ipv4Addr ip);
+
 class GeoDatabase {
  public:
   struct Config {
@@ -58,17 +80,16 @@ class GeoDatabase {
   /// Country-level lookup (ISO2). `nullopt` for unallocated space.
   std::optional<std::string_view> country(Ipv4Addr ip) const;
 
+  /// The country decision for an address whose ground truth is `truth`:
+  /// the one routine behind country(), for callers that resolved the truth
+  /// once (the DNS mapping path reads it from the probe). nullopt during an
+  /// outage and for an unknown truth.
+  std::optional<geo::CountryIdx> country_index(const AddressTruth& truth) const;
+
   /// City-level point estimate, used by the RTT-range geolocation technique.
   std::optional<CityId> city_estimate(Ipv4Addr ip) const;
 
  private:
-  struct Truth {
-    Asn asn;
-    CityId city;  // best-known true interface city (AS home if unknown)
-    bool international;
-  };
-
-  std::optional<Truth> truth_for(Ipv4Addr ip) const;
   /// Stable per-IP hash stream so repeated lookups agree with each other.
   std::uint64_t ip_hash(Ipv4Addr ip, std::uint64_t salt) const;
   /// Stable per-owner-AS hash stream: error decisions are block-granular.

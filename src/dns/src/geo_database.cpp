@@ -1,6 +1,7 @@
 #include "ranycast/dns/geo_database.hpp"
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "ranycast/obs/metrics.hpp"
@@ -27,18 +28,19 @@ GeoDatabase::GeoDatabase(Config config, const topo::Graph* graph,
                          const topo::IpRegistry* registry)
     : config_(std::move(config)), graph_(graph), registry_(registry) {}
 
-std::optional<GeoDatabase::Truth> GeoDatabase::truth_for(Ipv4Addr ip) const {
-  const auto owner = registry_->owner(ip);
-  if (!owner) return std::nullopt;
-  const topo::AsNode* node = graph_->find(owner->asn);
+AddressTruth address_truth(const topo::Graph& graph, const topo::IpRegistry& registry,
+                           Ipv4Addr ip) {
+  const auto owner = registry.owner(ip);
+  if (!owner) return {};
+  const topo::AsNode* node = graph.find(owner->asn);
   if (node == nullptr) {
     // Not part of the routed AS graph (e.g. a public resolver's egress):
     // locatable only through the registered interface city.
-    if (owner->city == kInvalidCity) return std::nullopt;
-    return Truth{owner->asn, owner->city, false};
+    if (owner->city == kInvalidCity) return {};
+    return AddressTruth{owner->asn, owner->city, owner->city, false};
   }
   const CityId city = owner->city != kInvalidCity ? owner->city : node->home_city;
-  return Truth{owner->asn, city, node->international};
+  return AddressTruth{owner->asn, city, node->registered_city, node->international};
 }
 
 std::uint64_t GeoDatabase::ip_hash(Ipv4Addr ip, std::uint64_t salt) const {
@@ -47,22 +49,45 @@ std::uint64_t GeoDatabase::ip_hash(Ipv4Addr ip, std::uint64_t salt) const {
 
 namespace {
 
+constexpr std::size_t kForeignNeighbours = 6;
+
+/// Per city, its kForeignNeighbours nearest cities in other countries,
+/// ascending by (km, CityId); computed once for the gazetteer.
+struct ForeignNeighbours {
+  std::array<CityId, kForeignNeighbours> cities{};
+  std::size_t count{0};
+};
+
+const std::vector<ForeignNeighbours>& foreign_neighbours() {
+  static const std::vector<ForeignNeighbours> table = [] {
+    const auto& gaz = geo::Gazetteer::world();
+    const std::size_t n = gaz.cities().size();
+    std::vector<ForeignNeighbours> out(n);
+    std::vector<std::pair<double, CityId>> foreign;
+    for (std::size_t t = 0; t < n; ++t) {
+      const CityId truth{static_cast<std::uint16_t>(t)};
+      foreign.clear();
+      for (std::size_t i = 0; i < n; ++i) {
+        const CityId c{static_cast<std::uint16_t>(i)};
+        if (gaz.city(c).country == gaz.city(truth).country) continue;
+        foreign.emplace_back(gaz.distance(truth, c).km, c);
+      }
+      out[t].count = std::min(kForeignNeighbours, foreign.size());
+      std::partial_sort(foreign.begin(), foreign.begin() + out[t].count, foreign.end());
+      for (std::size_t k = 0; k < out[t].count; ++k) out[t].cities[k] = foreign[k].second;
+    }
+    return out;
+  }();
+  return table;
+}
+
 /// Geolocation databases rarely teleport a block across the planet: when
 /// they err on the country, the reported location is usually a *nearby*
 /// country (shared registry, shared language, border metro). Pick among
 /// the closest foreign cities, deterministically per block.
 CityId nearby_foreign_city(CityId truth, std::uint64_t h) {
-  const auto& gaz = geo::Gazetteer::world();
-  const auto iso2 = gaz.country_code(truth);
-  std::vector<std::pair<double, CityId>> foreign;
-  for (std::size_t i = 0; i < gaz.cities().size(); ++i) {
-    const CityId c{static_cast<std::uint16_t>(i)};
-    if (gaz.country_code(c) == iso2) continue;
-    foreign.emplace_back(gaz.distance(truth, c).km, c);
-  }
-  std::partial_sort(foreign.begin(), foreign.begin() + std::min<std::size_t>(6, foreign.size()),
-                    foreign.end());
-  return foreign[h % std::min<std::size_t>(6, foreign.size())].second;
+  const ForeignNeighbours& near = foreign_neighbours()[value(truth)];
+  return near.cities[h % near.count];
 }
 
 }  // namespace
@@ -80,36 +105,40 @@ double hash01(std::uint64_t h) noexcept {
 }
 }  // namespace
 
-std::optional<std::string_view> GeoDatabase::country(Ipv4Addr ip) const {
+std::optional<geo::CountryIdx> GeoDatabase::country_index(const AddressTruth& truth) const {
   lookup_counter().add();
   if (fault_.outage) {
     outage_counter().add();
     return std::nullopt;
   }
-  const auto truth = truth_for(ip);
-  if (!truth) return std::nullopt;
+  if (!truth.known()) return std::nullopt;
   const auto& gaz = geo::Gazetteer::world();
-  const topo::AsNode* node = graph_->find(truth->asn);
 
   // International organizations' space: databases frequently register the
   // whole allocation to the company's registration country (paper §4.3).
-  if (truth->international &&
-      hash01(block_hash(truth->asn, 0xA11A)) < config_.intl_home_bias_prob) {
-    return gaz.country_code(node != nullptr ? node->registered_city : truth->city);
+  if (truth.international &&
+      hash01(block_hash(truth.asn, 0xA11A)) < config_.intl_home_bias_prob) {
+    return gaz.city(truth.registered_city).country;
   }
   // Ordinary mis-registration: the whole AS block reports a nearby foreign
   // country.
-  if (hash01(block_hash(truth->asn, 0xBEEF)) < config_.wrong_country_prob) {
-    return gaz.country_code(nearby_foreign_city(truth->city, block_hash(truth->asn, 0xC0DE)));
+  if (hash01(block_hash(truth.asn, 0xBEEF)) < config_.wrong_country_prob) {
+    return gaz.city(nearby_foreign_city(truth.city, block_hash(truth.asn, 0xC0DE))).country;
   }
   // Staleness injected by the chaos engine: additional block-granular
   // wrong-country decisions from an independent stream, so degraded and
   // healthy operation disagree on exactly the extra-probability blocks.
   if (fault_.extra_wrong_country_prob > 0.0 &&
-      hash01(block_hash(truth->asn, 0x57A1E)) < fault_.extra_wrong_country_prob) {
-    return gaz.country_code(nearby_foreign_city(truth->city, block_hash(truth->asn, 0x57A2E)));
+      hash01(block_hash(truth.asn, 0x57A1E)) < fault_.extra_wrong_country_prob) {
+    return gaz.city(nearby_foreign_city(truth.city, block_hash(truth.asn, 0x57A2E))).country;
   }
-  return gaz.country_code(truth->city);
+  return gaz.city(truth.city).country;
+}
+
+std::optional<std::string_view> GeoDatabase::country(Ipv4Addr ip) const {
+  const auto idx = country_index(address_truth(*graph_, *registry_, ip));
+  if (!idx) return std::nullopt;
+  return geo::Gazetteer::world().countries()[*idx].iso2;
 }
 
 std::optional<CityId> GeoDatabase::city_estimate(Ipv4Addr ip) const {
@@ -118,22 +147,21 @@ std::optional<CityId> GeoDatabase::city_estimate(Ipv4Addr ip) const {
     outage_counter().add();
     return std::nullopt;
   }
-  const auto truth = truth_for(ip);
-  if (!truth) return std::nullopt;
+  const AddressTruth truth = address_truth(*graph_, *registry_, ip);
+  if (!truth.known()) return std::nullopt;
   const auto& gaz = geo::Gazetteer::world();
-  const topo::AsNode* node = graph_->find(truth->asn);
 
-  CityId country_anchor = truth->city;
-  if (truth->international &&
-      hash01(block_hash(truth->asn, 0xA11A)) < config_.intl_home_bias_prob) {
-    country_anchor = node != nullptr ? node->registered_city : truth->city;
-  } else if (hash01(block_hash(truth->asn, 0xBEEF)) < config_.wrong_country_prob) {
-    return nearby_foreign_city(truth->city, block_hash(truth->asn, 0xC0DE));
+  CityId country_anchor = truth.city;
+  if (truth.international &&
+      hash01(block_hash(truth.asn, 0xA11A)) < config_.intl_home_bias_prob) {
+    country_anchor = truth.registered_city;
+  } else if (hash01(block_hash(truth.asn, 0xBEEF)) < config_.wrong_country_prob) {
+    return nearby_foreign_city(truth.city, block_hash(truth.asn, 0xC0DE));
   } else if (fault_.extra_wrong_country_prob > 0.0 &&
-             hash01(block_hash(truth->asn, 0x57A1E)) < fault_.extra_wrong_country_prob) {
+             hash01(block_hash(truth.asn, 0x57A1E)) < fault_.extra_wrong_country_prob) {
     // Same staleness stream as country(), so both views of a degraded
     // database stay mutually consistent.
-    return nearby_foreign_city(truth->city, block_hash(truth->asn, 0x57A2E));
+    return nearby_foreign_city(truth.city, block_hash(truth.asn, 0x57A2E));
   }
   // Country correct; the city may still be off within the country.
   if (hash01(ip_hash(ip, 0xD00F)) < config_.wrong_city_prob) {

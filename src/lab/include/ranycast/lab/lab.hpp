@@ -213,7 +213,9 @@ class Lab {
     bool degraded{false};
   };
 
-  /// Resolve a deployment-served hostname from a probe.
+  /// Resolve a deployment-served hostname from a probe. Maps from the
+  /// address truth the census resolved for it (atlas::ProbeCensus::dns_truth);
+  /// throws std::invalid_argument for a probe this lab's census did not draw.
   DnsAnswer dns_lookup(const atlas::Probe& probe, const DeploymentHandle& handle,
                        dns::QueryMode mode) const;
 
@@ -266,7 +268,8 @@ class Lab {
   /// the address is not registered).
   std::optional<SiteId> catchment_of(const atlas::Probe& probe, Ipv4Addr address) const;
 
-  /// Which (deployment, region) an address belongs to.
+  /// Which (deployment, region) an address belongs to: the first
+  /// registered deployment whose regional prefix holds it.
   struct AddressInfo {
     const DeploymentHandle* handle;
     std::size_t region;
@@ -275,6 +278,14 @@ class Lab {
 
  private:
   explicit Lab(const LabConfig& config);
+  /// Register a built handle: keep it and list its regional prefixes.
+  const DeploymentHandle& register_handle(DeploymentHandle handle);
+
+  /// One regional prefix of a registered deployment.
+  struct AddressEntry {
+    Prefix prefix;
+    AddressInfo info;
+  };
 
   LabConfig config_;
   std::unique_ptr<topo::World> world_;
@@ -282,6 +293,8 @@ class Lab {
   atlas::ProbeCensus census_;
   std::array<std::unique_ptr<dns::GeoDatabase>, 3> geo_dbs_;
   std::deque<DeploymentHandle> deployments_;  // deque: stable references
+  /// Every registered regional prefix, in registration order.
+  std::vector<AddressEntry> addresses_;
   std::optional<MeasurementFaults> measurement_faults_;
   bgp::DeltaConfig delta_cfg_;
 };

@@ -1,5 +1,8 @@
 #include "ranycast/lab/lab.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "ranycast/exec/pool.hpp"
 #include "ranycast/obs/span.hpp"
 
@@ -164,8 +167,16 @@ const DeploymentHandle& Lab::add_deployment(cdn::Deployment deployment) {
   static obs::Counter& regions = metrics().counter("lab.regions_solved");
   deployments.add();
   regions.add(dep.regions().size());
-  deployments_.push_back(std::move(handle));
-  return deployments_.back();
+  return register_handle(std::move(handle));
+}
+
+const DeploymentHandle& Lab::register_handle(DeploymentHandle handle) {
+  const DeploymentHandle& kept = deployments_.emplace_back(std::move(handle));
+  const auto regions = kept.deployment.regions();
+  for (std::size_t r = 0; r < regions.size(); ++r) {
+    addresses_.push_back(AddressEntry{regions[r].prefix, AddressInfo{&kept, r}});
+  }
+  return kept;
 }
 
 DeploymentHandle* Lab::handle_mut(const DeploymentHandle& handle) noexcept {
@@ -240,8 +251,7 @@ const DeploymentHandle& Lab::add_deployment_derived(const DeploymentHandle& base
   deployments.add();
   regions.add(count);
   derived.add();
-  deployments_.push_back(std::move(handle));
-  return deployments_.back();
+  return register_handle(std::move(handle));
 }
 
 bgp::RoutingOutcome Lab::solve_origins(Asn cdn_asn,
@@ -251,10 +261,8 @@ bgp::RoutingOutcome Lab::solve_origins(Asn cdn_asn,
 }
 
 std::optional<Lab::AddressInfo> Lab::locate_address(Ipv4Addr address) const {
-  for (const DeploymentHandle& h : deployments_) {
-    if (const auto region = h.deployment.region_of_ip(address)) {
-      return AddressInfo{&h, *region};
-    }
+  for (const AddressEntry& e : addresses_) {
+    if (e.prefix.contains(address)) return e.info;
   }
   return std::nullopt;
 }
@@ -265,6 +273,11 @@ Lab::DnsAnswer Lab::dns_lookup(const atlas::Probe& probe, const DeploymentHandle
   static obs::Histogram& wall = metrics().histogram("lab.dns_lookup.wall_us");
   calls.add();
   obs::ScopedTimer timer(wall);
+  const dns::AddressTruth* truth = census_.dns_truth(probe, mode);
+  if (truth == nullptr) {
+    throw std::invalid_argument("lab: probe " + std::to_string(value(probe.id)) +
+                                " was not drawn by this lab's census");
+  }
   const Ipv4Addr fallback = handle.deployment.regions()[0].service_ip;
   if (!answers<kDnsGate>(measurement_faults_, probe.id, fallback.bits())) {
     // Every resolution attempt timed out: the client is served the stale
@@ -272,8 +285,7 @@ Lab::DnsAnswer Lab::dns_lookup(const atlas::Probe& probe, const DeploymentHandle
     // fallback) instead of a geo-mapped answer.
     return DnsAnswer{0, fallback, true};
   }
-  const auto effective = dns::effective_address(probe.query_context(), mode);
-  const std::size_t region = handle.deployment.map_client(effective, mapping_db());
+  const std::size_t region = handle.deployment.map_client(*truth, mapping_db());
   return DnsAnswer{region, handle.deployment.regions()[region].service_ip, false};
 }
 

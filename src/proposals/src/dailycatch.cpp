@@ -36,13 +36,7 @@ cdn::Deployment filtered_deployment(const cdn::DeploymentSpec& spec, bool keep_t
     }
     out.add_site(std::move(site));
   }
-  for (std::size_t a = 0; a < geo::kAreaCount; ++a) {
-    out.set_area_region(static_cast<geo::Area>(a),
-                        base.region_for_area(static_cast<geo::Area>(a)));
-  }
-  for (const auto& [iso2, region] : base.country_regions()) {
-    out.set_country_region(iso2, region);
-  }
+  out.copy_mapping_policy(base);
   return out;
 }
 

@@ -17,13 +17,7 @@ cdn::Deployment withdraw_site(const cdn::Deployment& deployment, SiteId site,
     if (s.id == site) copy.regions.clear();  // withdrawn: announces nothing
     out.add_site(std::move(copy));
   }
-  for (std::size_t a = 0; a < geo::kAreaCount; ++a) {
-    out.set_area_region(static_cast<geo::Area>(a),
-                        deployment.region_for_area(static_cast<geo::Area>(a)));
-  }
-  for (const auto& [iso2, region] : deployment.country_regions()) {
-    out.set_country_region(iso2, region);
-  }
+  out.copy_mapping_policy(deployment);
   return out;
 }
 

@@ -11,7 +11,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ranycast/core/types.hpp"
@@ -90,7 +89,10 @@ struct Ixp {
 
 class Graph {
  public:
-  /// Add an AS; ASNs are assigned sequentially from 1 unless specified.
+  /// Add an AS. This is the only way to add a node, and it numbers them:
+  /// the i-th node added (0-based) gets ASN i + 1, so `nodes()[i].asn ==
+  /// make_asn(i + 1)` always holds and the dense index of an ASN is
+  /// arithmetic.
   Asn add_as(AsKind kind, CityId home, std::vector<CityId> footprint, bool international = false);
 
   /// Customer-provider link with one or more interconnection cities.
@@ -102,11 +104,22 @@ class Graph {
 
   std::size_t add_ixp(Ixp ixp);
 
-  const AsNode* find(Asn a) const noexcept;
-  AsNode* find(Asn a) noexcept;
+  const AsNode* find(Asn a) const noexcept {
+    const auto idx = index_of(a);
+    return idx ? &nodes_[*idx] : nullptr;
+  }
+  AsNode* find(Asn a) noexcept {
+    const auto idx = index_of(a);
+    return idx ? &nodes_[*idx] : nullptr;
+  }
 
-  /// Dense index of an ASN (nodes are stored contiguously).
-  std::optional<std::size_t> index_of(Asn a) const noexcept;
+  /// Dense index of an ASN (nodes are stored contiguously): `value(a) - 1`,
+  /// nullopt outside 1..nodes().size().
+  std::optional<std::size_t> index_of(Asn a) const noexcept {
+    const std::size_t v = value(a);
+    if (v == 0 || v > nodes_.size()) return std::nullopt;
+    return v - 1;
+  }
 
   std::span<const AsNode> nodes() const noexcept { return nodes_; }
   std::span<const Ixp> ixps() const noexcept { return ixps_; }
@@ -142,8 +155,6 @@ class Graph {
  private:
   std::vector<AsNode> nodes_;
   std::vector<Ixp> ixps_;
-  std::unordered_map<Asn, std::size_t> index_;
-  std::uint32_t next_asn_{1};
   std::size_t edge_count_{0};
 };
 

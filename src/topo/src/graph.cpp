@@ -35,7 +35,7 @@ bool AsNode::present_in(CityId c) const noexcept {
 }
 
 Asn Graph::add_as(AsKind kind, CityId home, std::vector<CityId> footprint, bool international) {
-  const Asn asn = make_asn(next_asn_++);
+  const Asn asn = make_asn(static_cast<std::uint32_t>(nodes_.size() + 1));
   AsNode node;
   node.asn = asn;
   node.kind = kind;
@@ -44,7 +44,6 @@ Asn Graph::add_as(AsKind kind, CityId home, std::vector<CityId> footprint, bool 
   node.international = international;
   node.footprint = std::move(footprint);
   if (node.footprint.empty()) node.footprint.push_back(home);
-  index_.emplace(asn, nodes_.size());
   nodes_.push_back(std::move(node));
   return asn;
 }
@@ -75,22 +74,6 @@ bool Graph::add_peering(Asn a, Asn b, bool via_route_server, std::vector<CityId>
 std::size_t Graph::add_ixp(Ixp ixp) {
   ixps_.push_back(std::move(ixp));
   return ixps_.size() - 1;
-}
-
-const AsNode* Graph::find(Asn a) const noexcept {
-  const auto it = index_.find(a);
-  return it == index_.end() ? nullptr : &nodes_[it->second];
-}
-
-AsNode* Graph::find(Asn a) noexcept {
-  const auto it = index_.find(a);
-  return it == index_.end() ? nullptr : &nodes_[it->second];
-}
-
-std::optional<std::size_t> Graph::index_of(Asn a) const noexcept {
-  const auto it = index_.find(a);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
 }
 
 bool Graph::has_edge(Asn a, Asn b) const noexcept {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace ranycast::cdn {
 namespace {
 
@@ -94,6 +96,32 @@ TEST(Deployment, RegionForCountryOverride) {
   const Deployment d = make_two_region();
   EXPECT_EQ(d.region_for_country("RU"), 0u);
   EXPECT_FALSE(d.region_for_country("DE").has_value());
+}
+
+TEST(Deployment, UnknownCountryCodeIsRefused) {
+  // A code the gazetteer does not know can never match a geo-DB answer: an
+  // override keyed on it would silently do nothing.
+  Deployment d = make_two_region();
+  for (const char* code : {"XX", "", "ru", "RUS"}) {
+    EXPECT_THROW(d.set_country_region(code, 1), std::invalid_argument) << code;
+    EXPECT_FALSE(d.region_for_country(code).has_value()) << code;
+  }
+  EXPECT_EQ(d.region_for_country("RU"), 0u);  // refused calls change nothing
+}
+
+TEST(Deployment, RegionForCountryIndexAppliesOverridesThenAreas) {
+  const Deployment d = make_two_region();
+  const auto& gaz = geo::Gazetteer::world();
+  EXPECT_EQ(d.region_for(*gaz.find_country("RU")), 0u);  // override
+  EXPECT_EQ(d.region_for(*gaz.find_country("DE")), 1u);  // EMEA default
+  EXPECT_EQ(d.region_for(*gaz.find_country("US")), 0u);  // NA default
+  // The deployment transforms take the whole policy.
+  Deployment copy{"copy", make_asn(65001)};
+  copy.copy_mapping_policy(d);
+  for (std::size_t c = 0; c < gaz.countries().size(); ++c) {
+    const auto idx = static_cast<geo::CountryIdx>(c);
+    EXPECT_EQ(copy.region_for(idx), d.region_for(idx)) << gaz.countries()[c].iso2;
+  }
 }
 
 }  // namespace

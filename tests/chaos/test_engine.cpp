@@ -5,6 +5,7 @@
 #include <map>
 
 #include "ranycast/cdn/catalog.hpp"
+#include "ranycast/chaos/scenario.hpp"
 
 namespace ranycast::chaos {
 namespace {
@@ -209,6 +210,37 @@ TEST_F(EngineTest, DoubleWithdrawIsAnError) {
   const auto report = engine.run(plan);
   ASSERT_FALSE(report.has_value());
   EXPECT_NE(report.error().find("already withdrawn"), std::string::npos);
+}
+
+TEST_F(EngineTest, RunsLeaveTheCensusAddressTruthStanding) {
+  // DNS maps from the truth each probe resolved at census. That is sound
+  // only while no fault touches an AS's home, registration or international
+  // flag, and nothing registers an address in probe-host space.
+  for (const char* name : {"chaos_smoke.json", "chaos_cascade.json"}) {
+    auto plan = load_plan(std::string(RANYCAST_CONFIGS_DIR) + "/" + name);
+    ASSERT_TRUE(plan.has_value()) << plan.error().to_string();
+    Engine engine(lab_, *im6_);
+    const auto report = engine.run(*plan);
+    ASSERT_TRUE(report.has_value()) << name << ": " << report.error();
+  }
+  const topo::World born = topo::generate_world(small_config().world);
+  const topo::Graph& graph = lab_.world().graph;
+  ASSERT_EQ(graph.nodes().size(), born.graph.nodes().size());
+  for (std::size_t i = 0; i < graph.nodes().size(); ++i) {
+    const topo::AsNode& now = graph.nodes()[i];
+    const topo::AsNode& then = born.graph.nodes()[i];
+    ASSERT_EQ(now.home_city, then.home_city) << i;
+    ASSERT_EQ(now.registered_city, then.registered_city) << i;
+    ASSERT_EQ(now.international, then.international) << i;
+  }
+  for (const atlas::Probe& p : lab_.census().probes()) {
+    for (const dns::QueryMode mode : {dns::QueryMode::Ldns, dns::QueryMode::Adns}) {
+      ASSERT_EQ(*lab_.census().dns_truth(p, mode),
+                dns::address_truth(graph, lab_.registry(),
+                                   dns::effective_address(p.query_context(), mode)))
+          << "probe " << value(p.id);
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "ranycast/cdn/catalog.hpp"
+#include "ranycast/resilience/failover.hpp"
 
 namespace ranycast::lab {
 namespace {
@@ -137,14 +141,39 @@ TEST_F(LabTest, CatchmentRespectsRegionalAnnouncements) {
 }
 
 TEST_F(LabTest, LocateAddressRoundTrips) {
-  const auto& handle = lab_.add_deployment(cdn::catalog::edgio3());
-  for (std::size_t r = 0; r < handle.deployment.regions().size(); ++r) {
-    const auto info = lab_.locate_address(handle.deployment.regions()[r].service_ip);
-    ASSERT_TRUE(info.has_value());
-    EXPECT_EQ(info->handle, &handle);
-    EXPECT_EQ(info->region, r);
+  std::vector<const DeploymentHandle*> handles;
+  for (const auto& spec : {cdn::catalog::edgio3(), cdn::catalog::edgio4(),
+                           cdn::catalog::imperva6(), cdn::catalog::imperva_ns()}) {
+    handles.push_back(&lab_.add_deployment(spec));
   }
+  // fail_site registers a derived deployment (spliced from imperva6's
+  // selection planes) on fresh prefixes of its own.
+  resilience::fail_site(lab_, *handles[2], SiteId{0});
+  for (const DeploymentHandle* handle : handles) {
+    for (std::size_t r = 0; r < handle->deployment.regions().size(); ++r) {
+      const cdn::Region& region = handle->deployment.regions()[r];
+      for (const Ipv4Addr a : {region.service_ip, region.prefix.at(0), region.prefix.at(255)}) {
+        const auto info = lab_.locate_address(a);
+        ASSERT_TRUE(info.has_value());
+        EXPECT_EQ(info->handle, handle);
+        EXPECT_EQ(info->region, r);
+      }
+    }
+  }
+  // Walk every prefix the lab allocated, the derived deployment's included:
+  // each resolves to the handle and region whose prefix it is.
+  const Prefix next_free = lab_.registry().allocate_special(24);
+  std::set<const DeploymentHandle*> seen;
+  for (std::uint32_t bits = 0xC0000000u; bits < next_free.address().bits(); bits += 256) {
+    const Prefix allocated{Ipv4Addr{bits}, 24};
+    const auto info = lab_.locate_address(allocated.at(1));
+    ASSERT_TRUE(info.has_value()) << allocated.to_string();
+    EXPECT_EQ(info->handle->deployment.regions()[info->region].prefix, allocated);
+    seen.insert(info->handle);
+  }
+  EXPECT_EQ(seen.size(), handles.size() + 1);
   EXPECT_FALSE(lab_.locate_address(Ipv4Addr(9, 9, 9, 9)).has_value());
+  EXPECT_FALSE(lab_.locate_address(next_free.at(1)).has_value());
 }
 
 TEST_F(LabTest, MultipleDeploymentsCoexist) {

@@ -27,6 +27,17 @@ class WorldInvariants : public ::testing::TestWithParam<WorldCase> {
   }
 };
 
+TEST_P(WorldInvariants, AsnsNumberTheNodesInOrder) {
+  // Graph::index_of is `value(asn) - 1`: it rests on this.
+  const auto laboratory = make_lab(GetParam());
+  const topo::Graph& graph = laboratory.world().graph;
+  ASSERT_FALSE(graph.nodes().empty());
+  for (std::size_t i = 0; i < graph.nodes().size(); ++i) {
+    ASSERT_EQ(graph.nodes()[i].asn, make_asn(static_cast<std::uint32_t>(i + 1))) << i;
+    ASSERT_EQ(graph.index_of(graph.nodes()[i].asn), i);
+  }
+}
+
 TEST_P(WorldInvariants, CatchmentSitesAnnounceTheTracedPrefix) {
   auto laboratory = make_lab(GetParam());
   const auto& im6 = laboratory.add_deployment(cdn::catalog::imperva6());

@@ -81,9 +81,17 @@ TEST(Graph, IndexOfDense) {
   Graph g;
   const Asn a = g.add_as(AsKind::Stub, kCity, {kCity});
   const Asn b = g.add_as(AsKind::Stub, kCity, {kCity});
+  EXPECT_EQ(a, make_asn(1));
+  EXPECT_EQ(b, make_asn(2));
   EXPECT_EQ(g.index_of(a), 0u);
   EXPECT_EQ(g.index_of(b), 1u);
-  EXPECT_FALSE(g.index_of(make_asn(77)).has_value());
+  EXPECT_EQ(g.find(b), &g.nodes()[1]);
+  // Outside 1..nodes().size(): just past the end, ASN 0 (which would wrap
+  // to the largest index) and the invalid sentinel.
+  for (const Asn outside : {make_asn(3), make_asn(77), make_asn(0), kInvalidAsn}) {
+    EXPECT_FALSE(g.index_of(outside).has_value()) << value(outside);
+    EXPECT_EQ(g.find(outside), nullptr) << value(outside);
+  }
 }
 
 TEST(Rel, ReverseIsInvolution) {
