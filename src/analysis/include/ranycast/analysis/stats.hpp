@@ -35,8 +35,15 @@ class Cdf {
   std::vector<double> samples_;  // sorted ascending
 };
 
-/// Percentile with p in [0, 100] over an unsorted span.
+/// Percentile with p in [0, 100] over an unsorted span: Cdf::quantile(p /
+/// 100) bit for bit, without the full sort.
 double percentile(std::span<const double> values, double p);
+
+/// The p_lo-th and p_hi-th percentiles (0 <= p_lo <= p_hi <= 100) of
+/// `values` from one selection, each bit-identical to percentile(values, p).
+/// Reorders `values` in place: the upper rank is selected only in the part
+/// above the lower one.
+std::pair<double, double> percentile_pair(std::span<double> values, double p_lo, double p_hi);
 
 double median(std::span<const double> values);
 

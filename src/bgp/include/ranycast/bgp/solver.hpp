@@ -94,6 +94,13 @@ class RoutingOutcome {
   std::size_t reachable_count() const noexcept;
   std::size_t as_count() const noexcept { return entries_.size(); }
 
+  /// The rows (dense node indices, ascending) whose selected route differs
+  /// from the one `other`, an outcome of the same prefix over the same
+  /// graph, holds: by content — reachability, origin site, class, ingress
+  /// distance, tie-break and every (ASN, city) hop — so the two outcomes'
+  /// arenas and path ids may differ.
+  std::vector<std::uint32_t> rows_differing_from(const RoutingOutcome& other) const;
+
  private:
   const Route* materialize(std::size_t idx) const noexcept;
   void destroy_cache() noexcept;

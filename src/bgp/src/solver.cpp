@@ -123,6 +123,38 @@ std::optional<Rtt> RoutingOutcome::path_rtt(Asn a, CityId client_city,
                           client_access_extra_ms);
 }
 
+std::vector<std::uint32_t> RoutingOutcome::rows_differing_from(
+    const RoutingOutcome& other) const {
+  const PathArena& mine = *arena_;
+  const PathArena& theirs = *other.arena_;
+  const bool shared = arena_ == other.arena_;
+  const auto same_hops = [&](std::uint32_t x, std::uint32_t y) {
+    for (; x != PathArena::kNone && y != PathArena::kNone;
+         x = mine.parent_of(x), y = theirs.parent_of(y)) {
+      if (shared && x == y) return true;  // one node: the rest of the path too
+      if (mine.asn_of(x) != theirs.asn_of(y) || mine.city_of(x) != theirs.city_of(y)) {
+        return false;
+      }
+    }
+    return x == y;  // both ended
+  };
+  std::vector<std::uint32_t> out;
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const Entry& a = entries_[i];
+    bool same = i < other.entries_.size();
+    if (same) {
+      const Entry& b = other.entries_[i];
+      same = (a.path == PathArena::kNone) == (b.path == PathArena::kNone) &&
+             (a.path == PathArena::kNone ||
+              (a.len == b.len && a.origin_site == b.origin_site && a.cls == b.cls &&
+               a.ingress_km == b.ingress_km && a.tiebreak == b.tiebreak &&
+               same_hops(a.path, b.path)));
+    }
+    if (!same) out.push_back(static_cast<std::uint32_t>(i));
+  }
+  return out;
+}
+
 std::size_t RoutingOutcome::reachable_count() const noexcept {
   return static_cast<std::size_t>(
       std::count_if(entries_.begin(), entries_.end(),

@@ -29,7 +29,13 @@
 // traffic assignment next to the solve over it, a routing step re-assigns
 // only the probes whose AS row changed in any region (the shed alternates
 // read every region), and the carried solve is reused when neither the
-// assignment nor the flows changed — traffic::solve is pure in both.
+// assignment nor the flows changed — traffic::solve is pure in both. The
+// inflated-RTT percentiles are carried too when no row changed either. A
+// step that moved anything pushes an undo frame (StepUndo plus the solve
+// and percentiles before it); a step that exactly reverses the top frame
+// is back in that state and takes its solve and percentiles instead of
+// solving again, which is what a restore after its withdrawal, or a link's
+// up after its down, does.
 //
 // Reports carry no wall-clock data and read no observability counters, so
 // two runs with the same seed and plan serialize to the same bytes; timings
@@ -42,6 +48,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ranycast/atlas/grouping.hpp"
@@ -147,6 +154,25 @@ struct ChaosReport {
   /// Empty unless Engine::enable_traffic was called before the run.
   std::vector<traffic::StepTraffic> traffic;
 };
+
+/// What one chaos step changed in the per-probe state its traffic
+/// accounting reads: each changed slot's index, ascending, with the value
+/// the slot held before the step.
+struct StepUndo {
+  std::vector<std::pair<std::uint32_t, traffic::ProbeAssign>> assigns;
+  std::vector<std::pair<std::uint32_t, lab::Measurement>> rows;
+
+  bool empty() const noexcept { return assigns.empty() && rows.empty(); }
+};
+
+/// Whether a step that made the changes `step` moved the state back to what
+/// it was before the step that recorded `frame`: both changed exactly the
+/// same slots, and each of them now (in `assign` and `rows`, the state
+/// after `step`) holds again the value `frame` saved. Matching indices
+/// alone is not enough: the values must be equal too, an RTT to its bits.
+bool reverses(const StepUndo& frame, const StepUndo& step,
+              std::span<const traffic::ProbeAssign> assign,
+              std::span<const lab::Measurement> rows);
 
 /// Binds a checkpoint to (config, seed, deployment, plan); the guarded run
 /// and the serving plane fold their own settings onto it.
@@ -274,11 +300,13 @@ class Engine {
   /// Redo the traffic assignment of the listed probes of a pass (every
   /// probe when `which` is null) against the live routes — the other
   /// regions' catchments supply the shed alternates, so this must run while
-  /// the routes the rows were measured from are live. True when any
-  /// probe's assignment changed.
-  bool reassign(const std::vector<lab::Measurement>& rows,
+  /// the routes the rows were measured from are live. `changed` (if given)
+  /// receives the probes whose assignment changed, ascending, each with its
+  /// previous one.
+  void reassign(const std::vector<lab::Measurement>& rows,
                 std::vector<traffic::ProbeAssign>& assign,
-                const std::vector<std::uint32_t>* which) const;
+                const std::vector<std::uint32_t>* which,
+                std::vector<std::pair<std::uint32_t, traffic::ProbeAssign>>* changed) const;
   /// The traffic model over one assignment under the current flows.
   traffic::TrafficSolve solve_traffic(std::span<const traffic::ProbeAssign> assign);
 

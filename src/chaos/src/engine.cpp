@@ -1,9 +1,10 @@
 #include "ranycast/chaos/engine.hpp"
 
-#include <atomic>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <tuple>
 
 #include "ranycast/analysis/stats.hpp"
 #include "ranycast/core/crc32.hpp"
@@ -79,7 +80,51 @@ void journal_traffic(const traffic::StepTraffic& t) {
        F::f64_field("inflated_p90_ms", t.inflated_p90_ms)});
 }
 
+/// Row equality down to the RTT's sign: the percentiles read its bits. A
+/// NaN RTT never compares equal, which only costs a reuse.
+bool same_row(const lab::Measurement& a, const lab::Measurement& b) noexcept {
+  return a == b && std::signbit(a.rtt_ms) == std::signbit(b.rtt_ms);
+}
+
+/// The rows of `after` that differ from `before` among `which` (every row
+/// when null), ascending, each with its value in `before`.
+std::vector<std::pair<std::uint32_t, lab::Measurement>> changed_rows(
+    const std::vector<lab::Measurement>& before, const std::vector<lab::Measurement>& after,
+    const std::vector<std::uint32_t>* which) {
+  std::vector<std::pair<std::uint32_t, lab::Measurement>> out;
+  const auto check = [&](std::uint32_t i) {
+    if (!same_row(before[i], after[i])) out.emplace_back(i, before[i]);
+  };
+  if (which != nullptr) {
+    for (const std::uint32_t i : *which) check(i);
+  } else {
+    for (std::uint32_t i = 0; i < before.size(); ++i) check(i);
+  }
+  return out;
+}
+
+/// Undo frames a carry keeps; past that the oldest is dropped.
+constexpr std::size_t kMaxUndoFrames = 8;
+
 }  // namespace
+
+bool reverses(const StepUndo& frame, const StepUndo& step,
+              std::span<const traffic::ProbeAssign> assign,
+              std::span<const lab::Measurement> rows) {
+  const auto undone = [](const auto& saved, const auto& changed, const auto& now,
+                         const auto& same) {
+    if (saved.size() != changed.size()) return false;
+    for (std::size_t k = 0; k < saved.size(); ++k) {
+      const std::uint32_t i = saved[k].first;
+      if (changed[k].first != i || i >= now.size() || !same(now[i], saved[k].second)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  return undone(frame.assigns, step.assigns, assign, std::equal_to<>{}) &&
+         undone(frame.rows, step.rows, rows, same_row);
+}
 
 std::uint64_t plan_fingerprint(const lab::Lab& laboratory, const cdn::Deployment& dep,
                                const FaultPlan& plan) {
@@ -102,10 +147,23 @@ struct Engine::Carry {
   std::vector<lab::Measurement> before;
   std::vector<lab::Measurement> after;  ///< scratch buffer for the after-pass
   bool measured{false};                 ///< `before` holds the current state's pass
-  /// Traffic of the current state: each probe's assignment and the solve
-  /// over it; both empty until the first traffic step solves them.
+  /// Traffic of the current state: each probe's assignment, the solve over
+  /// it (both empty until the first traffic step solves them) and the
+  /// inflated-RTT p50/p90 of the pass under that solve (empty until a step
+  /// selects them).
   std::vector<traffic::ProbeAssign> assign;
   std::optional<traffic::TrafficSolve> solve;
+  std::optional<std::pair<double, double>> inflated;
+  /// A traffic state an earlier step left: what that step changed, and the
+  /// solve and percentiles of the state before it.
+  struct Frame {
+    StepUndo undo;
+    traffic::TrafficSolve solve;
+    std::optional<std::pair<double, double>> inflated;
+  };
+  /// Newest last, at most kMaxUndoFrames, all over the current flows. Not
+  /// checkpointed: a resumed run starts with none, which only costs solves.
+  std::vector<Frame> frames;
 };
 
 /// Indices into the retained probes, ascending.
@@ -145,17 +203,23 @@ const traffic::FlowSet& Engine::current_flows() {
   return flow_cache_->second;
 }
 
-bool Engine::reassign(const std::vector<lab::Measurement>& rows,
+void Engine::reassign(const std::vector<lab::Measurement>& rows,
                       std::vector<traffic::ProbeAssign>& assign,
-                      const std::vector<std::uint32_t>* which) const {
+                      const std::vector<std::uint32_t>* which,
+                      std::vector<std::pair<std::uint32_t, traffic::ProbeAssign>>* changed) const {
   const std::size_t regions = handle_->deployment.regions().size();
   const bool shed = traffic_cfg_->policy == traffic::OverloadPolicy::Shed;
-  std::atomic<bool> moved{false};
   // A probe's assignment is pure in (row, live routes): disjoint slots, so
   // the fan-out is worker-count independent like every measurement pass.
+  // Each changed slot keeps its previous assignment at its own position,
+  // compacted in index order below.
   const std::size_t count = which != nullptr ? which->size() : rows.size();
+  const auto index = [&](std::size_t k) {
+    return static_cast<std::uint32_t>(which != nullptr ? (*which)[k] : k);
+  };
+  std::vector<std::optional<traffic::ProbeAssign>> was(changed != nullptr ? count : 0);
   exec::ThreadPool::global().parallel_for(count, [&](std::size_t k) {
-    const std::size_t i = which != nullptr ? (*which)[k] : k;
+    const std::size_t i = index(k);
     const lab::Measurement& m = rows[i];
     traffic::ProbeAssign pa;
     if (m.routed) {
@@ -172,12 +236,16 @@ bool Engine::reassign(const std::vector<lab::Measurement>& rows,
         if (!dup) pa.alternates.push_back(*site);
       }
     }
-    if (pa.site != assign[i].site || pa.alternates != assign[i].alternates) {
-      moved.store(true, std::memory_order_relaxed);
+    if (pa != assign[i]) {
+      if (changed != nullptr) was[k] = std::move(assign[i]);
       assign[i] = std::move(pa);
     }
   });
-  return moved.load(std::memory_order_relaxed);
+  if (changed == nullptr) return;
+  changed->clear();
+  for (std::size_t k = 0; k < count; ++k) {
+    if (was[k]) changed->emplace_back(index(k), std::move(*was[k]));
+  }
 }
 
 traffic::TrafficSolve Engine::solve_traffic(std::span<const traffic::ProbeAssign> assign) {
@@ -206,8 +274,10 @@ Engine::Reach Engine::reach(const std::vector<lab::Measurement>& rows,
     marks[r].assign(graph.nodes().size(), 0);
     for (const std::uint32_t x : changed[r].rows) marks[r][x] = 1;
   }
+  // Lab::resolve_delta lists the rows of a region solved in full as well;
+  // it never reports `all`.
   const auto moved_in = [&](std::size_t r, std::optional<std::size_t> x) {
-    return changed[r].all || (!marks[r].empty() && x && marks[r][*x] != 0);
+    return !marks[r].empty() && x && marks[r][*x] != 0;
   };
   Reach out;
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -451,7 +521,7 @@ core::Expected<StepReport, std::string> Engine::execute_step(
     // catchments, which the fault's re-solve is about to replace.
     obs::Span traffic_span("chaos.traffic");
     carry.assign.assign(before.size(), traffic::ProbeAssign{});
-    reassign(before, carry.assign, nullptr);
+    reassign(before, carry.assign, nullptr, nullptr);
     carry.solve = solve_traffic(carry.assign);
   }
   const double scale_before = surge_scale_;
@@ -542,10 +612,8 @@ core::Expected<StepReport, std::string> Engine::execute_step(
       }
     }
   }
-  step.before_p50_ms = analysis::percentile(before_ms, 50);
-  step.before_p90_ms = analysis::percentile(before_ms, 90);
-  step.after_p50_ms = analysis::percentile(after_ms, 50);
-  step.after_p90_ms = analysis::percentile(after_ms, 90);
+  std::tie(step.before_p50_ms, step.before_p90_ms) = analysis::percentile_pair(before_ms, 50, 90);
+  std::tie(step.after_p50_ms, step.after_p90_ms) = analysis::percentile_pair(after_ms, 50, 90);
   reduce_span.reset();
 
   if (transient) {
@@ -569,27 +637,44 @@ core::Expected<StepReport, std::string> Engine::execute_step(
     static obs::Counter& dropped_flows = metrics().counter("traffic.flows_dropped");
     static obs::Histogram& delay_hist = metrics().histogram("traffic.queue_delay_ms");
     static obs::Counter& solves_reused = metrics().counter("chaos.traffic.solves_reused");
+    static obs::Counter& solves_restored = metrics().counter("chaos.traffic.solves_restored");
     obs::Span traffic_span("chaos.traffic");
     const traffic::TrafficSolve& before_solve = *carry.solve;
     traffic::StepTraffic t;
     t.index = index;
     t.event = describe(event);
-    // Re-assign what the event can have moved: everything after a DNS
-    // change, the reached probes after a routing change, nothing after a
-    // demand change (whose flows moved instead).
-    bool moved = false;
+    // What the step changed: the redone rows whose value moved, and the
+    // assignments re-assigned — everything after a DNS change, the reached
+    // probes after a routing change, nothing after a demand change (whose
+    // flows moved instead).
+    StepUndo undo;
     if (changes.dns) {
-      moved = reassign(after, carry.assign, nullptr);
+      undo.rows = changed_rows(before, after, nullptr);
+      reassign(after, carry.assign, nullptr, &undo.assigns);
     } else if (changes.routes) {
-      moved = reassign(after, carry.assign, &reached.reassign);
+      undo.rows = changed_rows(before, after, &reached.remeasure);
+      reassign(after, carry.assign, &reached.reassign, &undo.assigns);
     }
     const bool flows_moved =
         std::bit_cast<std::uint64_t>(surge_scale_) != std::bit_cast<std::uint64_t>(scale_before);
-    if (moved || flows_moved) {
+    if (flows_moved) carry.frames.clear();  // their solves are over the old flows
+    // The inflated-RTT percentiles, when known without a selection.
+    std::optional<std::pair<double, double>> inflated;
+    const bool restored =
+        !carry.frames.empty() && reverses(carry.frames.back().undo, undo, carry.assign, after);
+    if (restored) {
+      // Back in the state before the top frame's step: same flows, same
+      // assignment, same rows, so its solve and percentiles.
+      t.solve = std::move(carry.frames.back().solve);
+      inflated = carry.frames.back().inflated;
+      carry.frames.pop_back();
+      solves_restored.add();
+    } else if (!undo.assigns.empty() || flows_moved) {
       t.solve = solve_traffic(carry.assign);
     } else {
       t.solve = before_solve;  // same flows over the same assignment
       solves_reused.add();
+      if (undo.rows.empty()) inflated = carry.inflated;  // and the same rows
     }
     t.before_max_utilization = before_solve.max_utilization;
     t.before_mean_utilization = before_solve.mean_utilization;
@@ -607,26 +692,37 @@ core::Expected<StepReport, std::string> Engine::execute_step(
     // the tipped sites overloaded further neighbors in turn.
     t.cascade_depth = (t.tipped_sites > 0 ? 1 : 0) + t.solve.cascade_depth;
     const bool sample_waits = obs::enabled();
-    std::vector<double> inflated;
-    std::vector<double> waits;
-    inflated.reserve(after.size());
-    if (sample_waits) waits.reserve(after.size());
-    for (const lab::Measurement& a : after) {
-      if (!a.routed || a.ping_lost) continue;
-      const std::size_t s = a.site;
-      const double wait =
-          s < t.solve.sites.size() ? t.solve.sites[s].queue_delay_ms : 0.0;
-      inflated.push_back(a.rtt_ms + wait);
-      if (sample_waits) waits.push_back(wait);
+    const bool select = !inflated;
+    if (sample_waits || select) {
+      std::vector<double> rtts;
+      std::vector<double> waits;
+      if (select) rtts.reserve(after.size());
+      if (sample_waits) waits.reserve(after.size());
+      for (const lab::Measurement& a : after) {
+        if (!a.routed || a.ping_lost) continue;
+        const std::size_t s = a.site;
+        const double wait =
+            s < t.solve.sites.size() ? t.solve.sites[s].queue_delay_ms : 0.0;
+        if (select) rtts.push_back(a.rtt_ms + wait);
+        if (sample_waits) waits.push_back(wait);
+      }
+      delay_hist.record_batch(waits);
+      if (select) inflated = analysis::percentile_pair(rtts, 50, 90);
     }
-    delay_hist.record_batch(waits);
-    t.inflated_p50_ms = analysis::percentile(inflated, 50);
-    t.inflated_p90_ms = analysis::percentile(inflated, 90);
+    std::tie(t.inflated_p50_ms, t.inflated_p90_ms) = *inflated;
     util_max.set(t.solve.max_utilization);
     util_mean.set(t.solve.mean_utilization);
     shed_flows.add(t.solve.flows_shed);
     dropped_flows.add(t.solve.flows_dropped);
+    // This step's frame, unless it undid one: what it changed, and the
+    // state before it, which the carry now leaves.
+    if (!restored && !flows_moved && !undo.empty()) {
+      carry.frames.push_back(
+          Carry::Frame{std::move(undo), std::move(*carry.solve), carry.inflated});
+      if (carry.frames.size() > kMaxUndoFrames) carry.frames.erase(carry.frames.begin());
+    }
     carry.solve = t.solve;  // the next step's before_solve
+    carry.inflated = inflated;
     traffic_out->push_back(std::move(t));
   }
   // This step's after-pass is the next step's before-pass.

@@ -1,6 +1,7 @@
 #include "ranycast/converge/plane.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "ranycast/analysis/stats.hpp"
 #include "ranycast/exec/pool.hpp"
@@ -107,23 +108,24 @@ StepTransient Plane::step(std::size_t index, std::string event,
     if (t.dark_at_end) ++out.probes_dark_at_end;
     if (t.changed) reconverge_ms.push_back(static_cast<double>(t.last_change_us) / 1000.0);
   }
-  if (!reconverge_ms.empty()) {
-    out.reconverge_p50_ms = analysis::percentile(reconverge_ms, 50.0);
-    out.reconverge_p90_ms = analysis::percentile(reconverge_ms, 90.0);
-    out.reconverge_max_ms = *std::max_element(reconverge_ms.begin(), reconverge_ms.end());
-  }
-  if (!blackhole_ms.empty()) {
-    out.blackhole_p50_ms = analysis::percentile(blackhole_ms, 50.0);
-    out.blackhole_p90_ms = analysis::percentile(blackhole_ms, 90.0);
-    out.blackhole_max_ms = *std::max_element(blackhole_ms.begin(), blackhole_ms.end());
-  }
-
+  // Recorded before the percentiles reorder the samples: a histogram's sum
+  // adds them in probe order.
   if (obs::enabled()) {
     auto& reg = obs::MetricsRegistry::global();
     reg.counter("converge.steps").add();
     if (out.oscillating) reg.counter("converge.oscillations").add();
     reg.histogram("converge.reconverge_ms", kTransientMsBounds).record_batch(reconverge_ms);
     reg.histogram("converge.blackhole_ms", kTransientMsBounds).record_batch(blackhole_ms);
+  }
+  if (!reconverge_ms.empty()) {
+    out.reconverge_max_ms = *std::max_element(reconverge_ms.begin(), reconverge_ms.end());
+    std::tie(out.reconverge_p50_ms, out.reconverge_p90_ms) =
+        analysis::percentile_pair(reconverge_ms, 50.0, 90.0);
+  }
+  if (!blackhole_ms.empty()) {
+    out.blackhole_max_ms = *std::max_element(blackhole_ms.begin(), blackhole_ms.end());
+    std::tie(out.blackhole_p50_ms, out.blackhole_p90_ms) =
+        analysis::percentile_pair(blackhole_ms, 50.0, 90.0);
   }
 
   if (obs::journal() != nullptr) {

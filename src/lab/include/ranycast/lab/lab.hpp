@@ -167,9 +167,12 @@ class Lab {
   /// ASes the delta can affect; outcomes are byte-identical to a
   /// from-scratch solve. Returns the accounting of the regions re-solved.
   /// `changed` (if given) receives one entry per region: the rows whose
-  /// route the re-solve changed (bgp::DeltaSolver::resolve), no rows for an
-  /// untouched region, and `all` for a first-touch prime — its fresh arena
-  /// renumbers every path, even where the route is the same.
+  /// route the re-solve changed (bgp::DeltaSolver::resolve) and no rows for
+  /// an untouched region. A region solved in full — a first-touch prime, a
+  /// fallback or a verifier self-heal — renumbers every path in a fresh
+  /// arena, so it lists the rows whose route content differs from the
+  /// outcome it replaces (RoutingOutcome::rows_differing_from); it never
+  /// reports `all`. The returned accounting is the solver's, unchanged.
   bgp::DeltaStats resolve_delta(DeploymentHandle& handle, const bgp::SolveDelta& delta,
                                 std::vector<bgp::ChangedRows>* changed = nullptr) const;
 

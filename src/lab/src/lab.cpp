@@ -201,12 +201,18 @@ bgp::DeltaStats Lab::resolve_delta(DeploymentHandle& handle, const bgp::SolveDel
     if (!delta.touches(r)) return;  // untouched: keeps its outcome, stays unprimed
     bgp::ChangedRows* rows = changed != nullptr ? &(*changed)[r] : nullptr;
     slots[r] = prime_if_needed(*this, solver, dep, r, &stats[r]);
-    if (slots[r]) {  // primed from the post-delta origins
-      if (rows != nullptr) rows->all = true;
-      return;
+    const bool primed = slots[r].has_value();  // from the post-delta origins
+    if (!primed) {
+      slots[r].emplace(solver.resolve(r, dep.origins_for_region(r), delta.origin_changes(r),
+                                      delta.links, &stats[r], rows));
     }
-    slots[r].emplace(solver.resolve(r, dep.origins_for_region(r), delta.origin_changes(r),
-                                    delta.links, &stats[r], rows));
+    // A full solve (a first-touch prime, a fallback or a verifier self-heal)
+    // renumbers every path in a fresh arena; list the rows whose route
+    // content differs from the outcome it replaces instead.
+    if (rows != nullptr && (primed || rows->all)) {
+      *rows = bgp::ChangedRows{.all = false,
+                               .rows = slots[r]->rows_differing_from(handle.outcomes[r])};
+    }
   });
   bgp::DeltaStats merged;
   for (std::size_t r = 0; r < count; ++r) {

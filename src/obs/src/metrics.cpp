@@ -1,6 +1,8 @@
 #include "ranycast/obs/metrics.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdlib>
 #include <limits>
 
@@ -58,12 +60,36 @@ void Histogram::record(double x) noexcept {
 
 void Histogram::record_batch(std::span<const double> xs) {
   if (!enabled() || xs.empty()) return;
+  // A batch often repeats a few values (one queue delay per site), so each
+  // distinct value's bucket is searched once and remembered by the value's
+  // bits: open addressing over a fixed table that stops taking new values
+  // at half full (later new values are searched every time).
+  struct Memo {
+    std::uint64_t bits;
+    std::uint32_t bucket;
+    bool used;
+  };
+  constexpr std::size_t kMemoBits = 9;
+  constexpr std::size_t kMemoSlots = std::size_t{1} << kMemoBits;
+  std::array<Memo, kMemoSlots> memo{};
+  std::size_t remembered = 0;
   std::vector<std::uint64_t> tally(buckets_.size(), 0);
   double lo = std::numeric_limits<double>::infinity();
   double hi = -std::numeric_limits<double>::infinity();
   for (const double x : xs) {
-    ++tally[static_cast<std::size_t>(std::lower_bound(bounds_.begin(), bounds_.end(), x) -
-                                     bounds_.begin())];
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    std::size_t slot = (bits * 0x9E3779B97F4A7C15ULL) >> (64 - kMemoBits);
+    while (memo[slot].used && memo[slot].bits != bits) slot = (slot + 1) & (kMemoSlots - 1);
+    std::uint32_t bucket = memo[slot].bucket;
+    if (!memo[slot].used) {
+      bucket = static_cast<std::uint32_t>(
+          std::lower_bound(bounds_.begin(), bounds_.end(), x) - bounds_.begin());
+      if (remembered < kMemoSlots / 2) {
+        memo[slot] = Memo{bits, bucket, true};
+        ++remembered;
+      }
+    }
+    ++tally[bucket];
     if (x < lo) lo = x;
     if (x > hi) hi = x;
   }

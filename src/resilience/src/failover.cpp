@@ -1,5 +1,7 @@
 #include "ranycast/resilience/failover.hpp"
 
+#include <tuple>
+
 #include "ranycast/analysis/stats.hpp"
 
 namespace ranycast::resilience {
@@ -80,10 +82,9 @@ FailoverReport fail_site(lab::Lab& lab, const lab::DeploymentHandle& before, Sit
       }
     }
   }
-  report.before_p50_ms = analysis::percentile(before_ms, 50);
-  report.before_p90_ms = analysis::percentile(before_ms, 90);
-  report.after_p50_ms = analysis::percentile(after_ms, 50);
-  report.after_p90_ms = analysis::percentile(after_ms, 90);
+  std::tie(report.before_p50_ms, report.before_p90_ms) =
+      analysis::percentile_pair(before_ms, 50, 90);
+  std::tie(report.after_p50_ms, report.after_p90_ms) = analysis::percentile_pair(after_ms, 50, 90);
   return report;
 }
 

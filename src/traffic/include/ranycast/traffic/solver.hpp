@@ -3,10 +3,11 @@
 //
 // The solve is a pure serial function of (flows, assignment, config) — flows
 // are walked in index order, shed waves visit sites in ascending id and move
-// flows from the back of a site's arrival list, ties break on the lowest
-// site id. No RNG, no clock: the same inputs produce the same TrafficSolve
-// bytes, which is what lets chaos fold traffic accounting into its
-// byte-identical resume guarantee.
+// flows from the back of a site's arrival list, and a headroom tie between
+// shed targets goes to the one listed first in ProbeAssign::alternates
+// (region order, not site id). No RNG, no clock: the same inputs produce the
+// same TrafficSolve bytes, which is what lets chaos fold traffic accounting
+// into its byte-identical resume guarantee.
 #pragma once
 
 #include <cstddef>
@@ -25,6 +26,8 @@ namespace ranycast::traffic {
 struct ProbeAssign {
   SiteId site{kInvalidSite};
   std::vector<SiteId> alternates;
+
+  bool operator==(const ProbeAssign&) const = default;
 };
 
 /// Serving state of one site after the policy ran.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "ranycast/analysis/stats.hpp"
 
@@ -70,10 +71,11 @@ TrafficSolve solve(const FlowSet& set, std::span<const ProbeAssign> assign,
 
   // --- shed relaxation (DNS-steered policy only) --------------------------
   // Each wave sheds the newest arrivals of every over-threshold site onto
-  // the shed target with the most headroom (lowest id on ties). A target
-  // accepts up to raw capacity, so a wave can tip a previously-healthy site
-  // over the threshold; the next wave sheds from it in turn. cascade_depth
-  // counts the waves that tipped someone.
+  // the shed target with the most headroom (on a tie, the one listed first
+  // in the probe's alternates). A target accepts up to raw capacity, so a
+  // wave can tip a previously-healthy site over the threshold; the next
+  // wave sheds from it in turn. cascade_depth counts the waves that tipped
+  // someone.
   if (cfg.policy == OverloadPolicy::Shed) {
     std::vector<char> shed_once(set.flows.size(), 0);
     for (std::size_t wave = 0; wave < cfg.max_shed_waves; ++wave) {
@@ -166,8 +168,8 @@ TrafficSolve solve(const FlowSet& set, std::span<const ProbeAssign> assign,
   }
   out.mean_utilization =
       delays.empty() ? 0.0 : out.mean_utilization / static_cast<double>(delays.size());
-  out.queue_delay_p50_ms = analysis::percentile(delays, 50);
-  out.queue_delay_p90_ms = analysis::percentile(delays, 90);
+  std::tie(out.queue_delay_p50_ms, out.queue_delay_p90_ms) =
+      analysis::percentile_pair(delays, 50, 90);
   return out;
 }
 

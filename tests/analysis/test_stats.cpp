@@ -88,6 +88,7 @@ TEST(Percentile, BitIdenticalToSortedQuantile) {
   std::vector<std::size_t> sizes{1, 2, 3, 4, 5, 10, 11, 100, 999, 1000};
   for (int extra = 0; extra < 20; ++extra) sizes.push_back(1 + rng.below(1000));
   std::size_t cases = 0;
+  std::size_t pairs = 0;
   for (const std::size_t n : sizes) {
     // Few distinct values (many ties), or continuous values; some infinite.
     const bool tied = rng.chance(0.5);
@@ -97,15 +98,35 @@ TEST(Percentile, BitIdenticalToSortedQuantile) {
       if (rng.chance(0.05)) x = std::numeric_limits<double>::infinity();
       v.push_back(x);
     }
-    for (const double p : {0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 100.0}) {
+    const std::vector<double> ranks{0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 100.0};
+    const Cdf cdf{v};
+    for (const double p : ranks) {
       const double got = percentile(v, p);
-      const double want = Cdf{v}.quantile(p / 100.0);
+      const double want = cdf.quantile(p / 100.0);
       EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
           << "n=" << n << " p=" << p << " got " << got << " want " << want;
       ++cases;
     }
+    // The two-rank helper, for every pair of those ranks (equal ones too),
+    // each from its own copy since it reorders in place.
+    for (std::size_t i = 0; i < ranks.size(); ++i) {
+      for (std::size_t j = i; j < ranks.size(); ++j) {
+        std::vector<double> buffer = v;
+        const auto [lo, hi] = percentile_pair(buffer, ranks[i], ranks[j]);
+        const double want_lo = cdf.quantile(ranks[i] / 100.0);
+        const double want_hi = cdf.quantile(ranks[j] / 100.0);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(lo), std::bit_cast<std::uint64_t>(want_lo))
+            << "n=" << n << " p=" << ranks[i] << " with " << ranks[j];
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(hi), std::bit_cast<std::uint64_t>(want_hi))
+            << "n=" << n << " p=" << ranks[j] << " with " << ranks[i];
+        ++pairs;
+      }
+    }
   }
   EXPECT_EQ(cases, sizes.size() * 7);
+  EXPECT_EQ(pairs, sizes.size() * 28);
+  std::vector<double> none;
+  EXPECT_EQ(percentile_pair(none, 50, 90), std::make_pair(0.0, 0.0));
 }
 
 TEST(Median, EvenCount) {

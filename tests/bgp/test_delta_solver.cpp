@@ -382,7 +382,7 @@ TEST(ChangedRows, VerifierSelfHealReportsAll) {
   ASSERT_TRUE(g.set_link_state(link.first, link.second, true));
 }
 
-TEST(ChangedRows, LabReportsNothingForUntouchedRegionsAndAllForAPrime) {
+TEST(ChangedRows, LabListsRouteDiffsOfAPrimeAndNothingForUntouchedRegions) {
   lab::LabConfig config;
   config.world.stub_count = 400;
   config.census.total_probes = 1200;
@@ -422,17 +422,30 @@ TEST(ChangedRows, LabReportsNothingForUntouchedRegionsAndAllForAPrime) {
     return laboratory.solve_origins(dep.asn(), dep.origins_for_region(r), r);
   };
 
-  // Withdraw: the home region is touched for the first time and primed.
+  // Withdraw: the home region is touched for the first time and primed. The
+  // prime's fresh arena renumbers every path, so the lab lists the rows
+  // whose route content differs from the outcome the prime replaced.
   const auto announced = origins();
   const RoutingOutcome announced_home = scratch(home);
   const auto undo = dep.withdraw_site(site);
   std::vector<ChangedRows> changed{ChangedRows{.all = true, .rows = {7}}};
-  laboratory.resolve_delta(handle, delta_between(announced, origins()), &changed);
+  const DeltaStats primed =
+      laboratory.resolve_delta(handle, delta_between(announced, origins()), &changed);
   ASSERT_EQ(changed.size(), regions);
   for (std::size_t r = 0; r < regions; ++r) {
-    EXPECT_EQ(changed[r].all, r == home) << "region " << r;
-    EXPECT_TRUE(changed[r].rows.empty()) << "region " << r;
+    EXPECT_FALSE(changed[r].all) << "region " << r;
+    if (r != home) {
+      EXPECT_TRUE(changed[r].rows.empty()) << "region " << r;
+    }
   }
+  const auto withdrawn_moved =
+      routes_that_differ(laboratory.world().graph, announced_home, scratch(home));
+  EXPECT_FALSE(withdrawn_moved.empty());
+  EXPECT_TRUE(expect_reports_moved(changed[home], withdrawn_moved, "prime"));
+  // The solver's accounting is unchanged: a primed region is a full one
+  // and counts no affected rows.
+  EXPECT_EQ(primed.full_regions, 1u);
+  EXPECT_EQ(primed.affected_ases, 0u);
 
   // Restore: the home region is primed now and reports the rows that moved.
   const auto withdrawn = origins();

@@ -12,9 +12,14 @@
 // followed by that site's withdrawal, so a stale RTT would surface in the
 // affected set's percentiles. A guarded run killed and resumed at steps
 // {1, n/2, n-1} with traffic and transient recording on must match an
-// uninterrupted run byte for byte.
+// uninterrupted run byte for byte. Traffic undo frames (a step that exactly
+// reverses the top frame takes its solve and percentiles) are checked on
+// crafted frames, on nested, crossed and repeated withdraw/restore and
+// flap plans, and across a flow change, which must clear them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -92,11 +97,11 @@ std::vector<View> measure(const lab::Lab& laboratory, const lab::DeploymentHandl
   return out;
 }
 
-/// The load model against one pass: each routed probe's catchment site
+/// The traffic assignment of one pass: each routed probe's catchment site
 /// plus, under Shed, the other regions' catchment sites in region order.
-traffic::TrafficSolve solve_load(const lab::DeploymentHandle& handle,
-                                 const std::vector<View>& views, const traffic::FlowSet& flows,
-                                 const traffic::TrafficConfig& cfg) {
+std::vector<traffic::ProbeAssign> assignments(const lab::DeploymentHandle& handle,
+                                              const std::vector<View>& views,
+                                              const traffic::TrafficConfig& cfg) {
   const std::size_t regions = handle.deployment.regions().size();
   std::vector<traffic::ProbeAssign> assign(views.size());
   for (std::size_t i = 0; i < views.size(); ++i) {
@@ -114,7 +119,15 @@ traffic::TrafficSolve solve_load(const lab::DeploymentHandle& handle,
       }
     }
   }
-  return traffic::solve(flows, assign, handle.deployment.sites().size(), cfg);
+  return assign;
+}
+
+/// The load model against one pass.
+traffic::TrafficSolve solve_load(const lab::DeploymentHandle& handle,
+                                 const std::vector<View>& views, const traffic::FlowSet& flows,
+                                 const traffic::TrafficConfig& cfg) {
+  return traffic::solve(flows, assignments(handle, views, cfg),
+                        handle.deployment.sites().size(), cfg);
 }
 
 /// The step report from two full passes (taken after the fault is applied,
@@ -290,6 +303,76 @@ std::string engine_json(const FaultPlan& plan, const Recording& rec) {
   return report ? report_to_json(*report).dump(2) : std::string();
 }
 
+/// The engine's report at worker counts {1, 2, hardware} must equal the
+/// reference's.
+void expect_reference_at_every_worker_count(const FaultPlan& plan, const Recording& rec) {
+  const std::string expected = reference_json(plan, rec);
+  ASSERT_FALSE(expected.empty());
+  auto& pool = exec::ThreadPool::global();
+  const unsigned original = pool.worker_count();
+  std::vector<unsigned> sweep{1, 2};
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  if (hardware > 2) sweep.push_back(hardware);
+  for (const unsigned workers : sweep) {
+    pool.resize(workers);
+    EXPECT_EQ(engine_json(plan, rec), expected) << workers << " workers";
+  }
+  pool.resize(original);
+}
+
+/// chaos.traffic.solves_restored over one engine run of `plan` with
+/// everything on (obs on, so the carried percentiles' steps also record
+/// their queue-delay samples).
+std::uint64_t restored_solves(const FaultPlan& plan) {
+  obs::set_enabled(true);
+  obs::reset_all();
+  EXPECT_FALSE(engine_json(plan, everything_on()).empty());
+  const std::uint64_t restored =
+      obs::MetricsRegistry::global().counter("chaos.traffic.solves_restored").value();
+  obs::reset_all();
+  obs::set_enabled(false);
+  return restored;
+}
+
+/// Whether two passes differ in any probe's row: DNS answer, route, site or
+/// RTT bits.
+bool views_differ(const std::vector<View>& a, const std::vector<View>& b) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const View& x = a[i];
+    const View& y = b[i];
+    const auto rtt_bits = [](const View& v) {
+      return v.rtt ? std::optional(std::bit_cast<std::uint64_t>(v.rtt->ms)) : std::nullopt;
+    };
+    if (x.answer.address != y.answer.address || x.answer.region != y.answer.region ||
+        x.answer.degraded != y.answer.degraded || x.routed != y.routed || x.site != y.site ||
+        rtt_bits(x) != rtt_bits(y)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Per step of `plan` on a fresh lab, from public calls: whether the step
+/// changed any probe's row or its Shed traffic assignment.
+std::vector<bool> steps_that_move(const FaultPlan& plan) {
+  auto laboratory = lab::Lab::create(tiny_config());
+  const auto& handle = laboratory.add_deployment(cdn::catalog::imperva6());
+  Engine mutator(laboratory, handle);
+  const traffic::TrafficConfig cfg = tight_traffic();
+  std::vector<View> views = measure(laboratory, handle);
+  std::vector<traffic::ProbeAssign> assign = assignments(handle, views, cfg);
+  std::vector<bool> out;
+  for (const FaultEvent& e : plan.events) {
+    EXPECT_EQ(mutator.apply_event(e), "");
+    std::vector<View> next = measure(laboratory, handle);
+    std::vector<traffic::ProbeAssign> next_assign = assignments(handle, next, cfg);
+    out.push_back(views_differ(views, next) || next_assign != assign);
+    views = std::move(next);
+    assign = std::move(next_assign);
+  }
+  return out;
+}
+
 /// Every FaultKind, ordered so that each class of event (routing, geo-DB,
 /// measurement, demand) directly follows the others: routing steps under a
 /// surge, under a stale or dark mapping DB and under measurement faults,
@@ -397,21 +480,9 @@ TEST(IncrementalMeasure, EveryScenarioMatchesTwoPassReference) {
 
 TEST(IncrementalMeasure, EveryKindPlanMatchesReferenceAtEveryWorkerCount) {
   const FaultPlan plan = every_kind_plan();
-  const std::string expected = reference_json(plan, everything_on());
-  ASSERT_FALSE(expected.empty());
   // Steady-only as well: no traffic solve to carry, no convergence plane.
   EXPECT_EQ(engine_json(plan, Recording{}), reference_json(plan, Recording{}));
-
-  auto& pool = exec::ThreadPool::global();
-  const unsigned original = pool.worker_count();
-  std::vector<unsigned> sweep{1, 2};
-  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
-  if (hardware > 2) sweep.push_back(hardware);
-  for (const unsigned workers : sweep) {
-    pool.resize(workers);
-    EXPECT_EQ(engine_json(plan, everything_on()), expected) << workers << " workers";
-  }
-  pool.resize(original);
+  expect_reference_at_every_worker_count(plan, everything_on());
 }
 
 FaultEvent link_event(FaultKind kind, const std::pair<Asn, Asn>& link) {
@@ -508,18 +579,22 @@ TEST(IncrementalMeasure, LinkFlapPlanMatchesReferenceAtEveryWorkerCount) {
     SCOPED_TRACE(seed);
     const FaultPlan plan = linkflap_plan(seed);
     ASSERT_EQ(plan.events.size(), 16u);
-    const std::string expected = reference_json(plan, everything_on());
-    ASSERT_FALSE(expected.empty());
-    auto& pool = exec::ThreadPool::global();
-    const unsigned original = pool.worker_count();
-    std::vector<unsigned> sweep{1, 2};
-    const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
-    if (hardware > 2) sweep.push_back(hardware);
-    for (const unsigned workers : sweep) {
-      pool.resize(workers);
-      EXPECT_EQ(engine_json(plan, everything_on()), expected) << workers << " workers";
+    expect_reference_at_every_worker_count(plan, everything_on());
+
+    // The same flaps nested (down a, down b, up b, up a): each up-step
+    // exactly reverses the top undo frame, so every up-step whose down-step
+    // moved a row or an assignment takes that frame's solve instead of
+    // solving again — and only those.
+    FaultPlan nested = plan;
+    for (std::size_t k = 0; k + 3 < nested.events.size(); k += 4) {
+      std::swap(nested.events[k + 2], nested.events[k + 3]);
     }
-    pool.resize(original);
+    expect_reference_at_every_worker_count(nested, everything_on());
+    const std::vector<bool> moves = steps_that_move(nested);
+    std::uint64_t undone = 0;
+    for (std::size_t k = 0; k + 3 < moves.size(); k += 4) undone += moves[k] + moves[k + 1];
+    EXPECT_GT(undone, 0u);
+    EXPECT_EQ(restored_solves(nested), undone);
   }
 }
 
@@ -556,8 +631,170 @@ TEST(IncrementalMeasure, RttChangeWithoutSiteMoveReachesTheNextStep) {
         EXPECT_EQ(engine_json(*plan, rec), expected) << plan->events.size() << " steps";
       }
     }
+
+    // The same link-down as the first touch of every region, row by row: a
+    // prime lists the rows whose route content changed, so the probe whose
+    // path moved while its site stayed is pinged again, and a pass moved
+    // across the event by the after-pass rule equals a fresh pass. A list
+    // of the rows whose site changed would leave its old RTT standing.
+    auto laboratory = lab::Lab::create(tiny_config());
+    const auto& handle = laboratory.add_deployment(cdn::catalog::imperva6());
+    std::vector<lab::Measurement> pass;
+    laboratory.measure(handle, pass);
+    const std::vector<lab::Measurement> base = pass;
+    Engine mutator(laboratory, handle);
+    ASSERT_EQ(mutator.apply_event(link_event(FaultKind::LinkDown, e.link), &pass), "");
+    std::vector<lab::Measurement> fresh;
+    laboratory.measure(handle, fresh);
+    ASSERT_EQ(pass.size(), fresh.size());
+    std::size_t stale_rows = 0;
+    std::size_t kept_site_new_rtt = 0;
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      stale_rows += pass[i] == fresh[i] ? 0 : 1;
+      const bool kept_site = base[i].routed && fresh[i].routed && base[i].site == fresh[i].site;
+      kept_site_new_rtt += kept_site && base[i].rtt_ms != fresh[i].rtt_ms ? 1 : 0;
+    }
+    EXPECT_EQ(stale_rows, 0u);
+    EXPECT_GT(kept_site_new_rtt, 0u);
   }
   EXPECT_EQ(cases, 3u);
+}
+
+// ------------------------------------------------------------ undo frames
+
+TEST(UndoFrame, ReversesOnlyTheSameSlotsBackToTheirSavedValues) {
+  const traffic::ProbeAssign a0{SiteId{1}, {SiteId{2}}};
+  const traffic::ProbeAssign a1{SiteId{3}, {SiteId{2}}};
+  const traffic::ProbeAssign b0{SiteId{4}, {}};
+  const traffic::ProbeAssign b1{SiteId{4}, {SiteId{5}}};
+  const traffic::ProbeAssign b2{SiteId{4}, {SiteId{6}}};
+  lab::Measurement r0;
+  r0.routed = true;
+  r0.site = 1;
+  r0.rtt_ms = 12.5;
+  lab::Measurement r1 = r0;
+  r1.site = 3;
+  r1.rtt_ms = 30.0;
+
+  // A step changed assignment slots 2 and 5 and row 3; the frame saved
+  // their values before it. The step that undoes it changed the same slots
+  // (from the values the frame's step left) back to the saved ones.
+  const StepUndo frame{{{2, a0}, {5, b0}}, {{3, r0}}};
+  const StepUndo back{{{2, a1}, {5, b1}}, {{3, r1}}};
+  std::vector<traffic::ProbeAssign> assign(8);
+  assign[2] = a0;
+  assign[5] = b0;
+  std::vector<lab::Measurement> rows(8);
+  rows[3] = r0;
+  EXPECT_TRUE(reverses(frame, back, assign, rows));
+
+  // The same slots, but one holds another value now.
+  std::vector<traffic::ProbeAssign> other_assign = assign;
+  other_assign[5] = b2;
+  EXPECT_FALSE(reverses(frame, back, other_assign, rows));
+  std::vector<lab::Measurement> other_rows = rows;
+  other_rows[3].rtt_ms = 12.75;
+  EXPECT_FALSE(reverses(frame, back, assign, other_rows));
+  other_rows[3] = r0;
+  other_rows[3].ping_lost = true;
+  EXPECT_FALSE(reverses(frame, back, assign, other_rows));
+
+  // An RTT equal only as a number: +0 saved, -0 now.
+  lab::Measurement zero = r0;
+  zero.rtt_ms = 0.0;
+  other_rows[3] = zero;
+  other_rows[3].rtt_ms = -0.0;
+  EXPECT_FALSE(reverses(StepUndo{{}, {{3, zero}}}, StepUndo{{}, {{3, r1}}}, assign, other_rows));
+  other_rows[3].rtt_ms = 0.0;
+  EXPECT_TRUE(reverses(StepUndo{{}, {{3, zero}}}, StepUndo{{}, {{3, r1}}}, assign, other_rows));
+
+  // Other slots: fewer, more, shifted, or no rows; or nothing at all.
+  EXPECT_FALSE(reverses(frame, StepUndo{{{2, a1}}, {{3, r1}}}, assign, rows));
+  EXPECT_FALSE(reverses(frame, StepUndo{{{2, a1}, {5, b1}, {6, b1}}, {{3, r1}}}, assign, rows));
+  other_assign = assign;
+  other_assign[6] = b0;
+  EXPECT_FALSE(reverses(frame, StepUndo{{{2, a1}, {6, b1}}, {{3, r1}}}, other_assign, rows));
+  EXPECT_FALSE(reverses(frame, StepUndo{{{2, a1}, {5, b1}}, {}}, assign, rows));
+  EXPECT_FALSE(reverses(frame, StepUndo{}, assign, rows));
+  // A frame of rows only undoes like any other.
+  EXPECT_TRUE(reverses(StepUndo{{}, {{3, r0}}}, StepUndo{{}, {{3, r1}}}, assign, rows));
+}
+
+FaultEvent site_event(FaultKind kind, std::uint16_t site) {
+  FaultEvent e;
+  e.kind = kind;
+  e.site = SiteId{site};
+  return e;
+}
+
+TEST(UndoFrame, FlowChangeBetweenWithdrawAndRestoreSolvesAgain) {
+  // The restore puts every row and assignment back, but under the surge's
+  // flows: the withdrawal's frame holds a solve over the old ones.
+  FaultEvent surge;
+  surge.kind = FaultKind::TrafficSurge;
+  surge.magnitude = 1.5;
+  FaultPlan plan;
+  plan.name = "withdraw-surge-restore";
+  plan.events = {site_event(FaultKind::SiteWithdraw, 16), surge,
+                 site_event(FaultKind::SiteRestore, 16)};
+  expect_reference_at_every_worker_count(plan, everything_on());
+  EXPECT_EQ(restored_solves(plan), 0u);
+}
+
+TEST(UndoFrame, RestoresOutOfOrderMatchReference) {
+  // Site 16 and the site that serves the most probes of the tiny lab.
+  // Neither restore finds its withdrawal's frame on top, so both solve.
+  auto laboratory = lab::Lab::create(tiny_config());
+  const auto& handle = laboratory.add_deployment(cdn::catalog::imperva6());
+  std::vector<std::size_t> served(handle.deployment.sites().size(), 0);
+  for (const View& v : measure(laboratory, handle)) {
+    if (v.routed && v.site != SiteId{16}) ++served[value(v.site)];
+  }
+  const auto busiest = static_cast<std::uint16_t>(
+      std::max_element(served.begin(), served.end()) - served.begin());
+  FaultPlan plan;
+  plan.name = "crossed-restores";
+  plan.events = {site_event(FaultKind::SiteWithdraw, 16),
+                 site_event(FaultKind::SiteWithdraw, busiest),
+                 site_event(FaultKind::SiteRestore, 16),
+                 site_event(FaultKind::SiteRestore, busiest)};
+  const std::vector<bool> moves = steps_that_move(plan);
+  EXPECT_TRUE(moves[0] && moves[1]);
+  expect_reference_at_every_worker_count(plan, everything_on());
+  EXPECT_EQ(restored_solves(plan), 0u);
+}
+
+TEST(UndoFrame, GeoDbPairInsideAWithdrawPairRestoresBoth) {
+  FaultEvent stale;
+  stale.kind = FaultKind::GeoDbStale;
+  stale.db = 0;
+  stale.magnitude = 0.3;
+  FaultEvent fixed;
+  fixed.kind = FaultKind::GeoDbRestore;
+  fixed.db = 0;
+  FaultPlan plan;
+  plan.name = "nested-geodb";
+  plan.events = {site_event(FaultKind::SiteWithdraw, 16), stale, fixed,
+                 site_event(FaultKind::SiteRestore, 16)};
+  const std::vector<bool> moves = steps_that_move(plan);
+  EXPECT_TRUE(moves[0] && moves[1]);
+  expect_reference_at_every_worker_count(plan, everything_on());
+  EXPECT_EQ(restored_solves(plan), 2u);
+}
+
+TEST(UndoFrame, SameLinkFlappedTwiceRestoresEachUp) {
+  const auto& effects = tiny_link_effects();
+  const auto moving = std::find_if(effects.begin(), effects.end(),
+                                   [](const LinkEffect& e) { return e.moves; });
+  ASSERT_NE(moving, effects.end());
+  FaultPlan plan;
+  plan.name = "double-flap";
+  for (int k = 0; k < 2; ++k) {
+    plan.events.push_back(link_event(FaultKind::LinkDown, moving->link));
+    plan.events.push_back(link_event(FaultKind::LinkUp, moving->link));
+  }
+  expect_reference_at_every_worker_count(plan, everything_on());
+  EXPECT_EQ(restored_solves(plan), 2u);
 }
 
 std::string checkpoint_path(const std::string& tag) {

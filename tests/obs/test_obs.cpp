@@ -148,20 +148,53 @@ TEST_F(ObsTest, HistogramBatchEqualsPerSampleRecords) {
   const double inf = std::numeric_limits<double>::infinity();
   const std::vector<double> first = {0.1, 1e16, -0.0, 3.0, 0.0, 1.0, -1e16, 0.7};
   const std::vector<double> second = {250.0, std::nan(""), 0.2, 10.0, inf, -inf, 1e-300};
+  const auto expect_bit_equal = [](const Histogram& batched, const Histogram& single,
+                                   const char* what) {
+    const auto b = batched.snapshot();
+    const auto s = single.snapshot();
+    EXPECT_EQ(b.count, s.count) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.sum), std::bit_cast<std::uint64_t>(s.sum)) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.min), std::bit_cast<std::uint64_t>(s.min)) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.max), std::bit_cast<std::uint64_t>(s.max)) << what;
+    EXPECT_EQ(b.buckets, s.buckets) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.p50), std::bit_cast<std::uint64_t>(s.p50)) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.p90), std::bit_cast<std::uint64_t>(s.p90)) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.p99), std::bit_cast<std::uint64_t>(s.p99)) << what;
+  };
   Histogram batched{bounds};
   Histogram single{bounds};
   for (const auto* xs : {&first, &second}) {
     batched.record_batch(*xs);
     for (const double x : *xs) single.record(x);
-    const auto b = batched.snapshot();
-    const auto s = single.snapshot();
-    EXPECT_EQ(b.count, s.count);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.sum), std::bit_cast<std::uint64_t>(s.sum));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.min), std::bit_cast<std::uint64_t>(s.min));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.max), std::bit_cast<std::uint64_t>(s.max));
-    EXPECT_EQ(b.buckets, s.buckets);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.p50), std::bit_cast<std::uint64_t>(s.p50));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.p99), std::bit_cast<std::uint64_t>(s.p99));
+    expect_bit_equal(batched, single, "mixed");
+  }
+
+  // A batch remembers each distinct value's bucket by its bits: runs of
+  // repeats and interleaved repeats, values exactly on the bounds, both
+  // zeros, and NaNs that differ only in payload or sign.
+  const double nan_a = std::bit_cast<double>(std::uint64_t{0x7FF8000000000001});
+  const double nan_b = std::bit_cast<double>(std::uint64_t{0x7FF8000000000002});
+  const double nan_c = std::bit_cast<double>(std::uint64_t{0xFFF8000000000000});
+  std::vector<double> repeated;
+  for (int i = 0; i < 40; ++i) {
+    repeated.insert(repeated.end(), {1.0, 0.0, 1.0, -0.0, 100.0, nan_a, 10.0, 0.5});
+    if (i % 5 == 0) repeated.insert(repeated.end(), 7, 3.25);
+    repeated.insert(repeated.end(), {nan_b, 1e300, -0.0, nan_c, 100.0, 1.0 + 1e-15});
+  }
+  // More distinct values than the memo takes, interleaved with repeats,
+  // with a sum that depends on the order of addition.
+  std::vector<double> distinct{1e16};
+  for (int i = 0; i < 2000; ++i) {
+    distinct.push_back(static_cast<double>(i) * 0.1);
+    if (i % 3 == 0) distinct.push_back(10.0);
+    if (i == 1000) distinct.push_back(-1e16);
+  }
+  for (const auto* xs : {&repeated, &distinct}) {
+    Histogram batch_only{bounds};
+    Histogram single_only{bounds};
+    batch_only.record_batch(*xs);
+    for (const double x : *xs) single_only.record(x);
+    expect_bit_equal(batch_only, single_only, xs == &repeated ? "repeated" : "distinct");
   }
   batched.record_batch({});
   EXPECT_EQ(batched.count(), single.count());

@@ -101,6 +101,26 @@ TEST(Solver, ShedSteersToAlternateWhereSpillDrops) {
   EXPECT_GT(shed.served_mbps, spill.served_mbps);
 }
 
+TEST(Solver, ShedTieGoesToTheFirstListedAlternateNotTheLowestId) {
+  // Two idle alternates of equal capacity have equal headroom; the probe
+  // lists them in descending id (the engine lists them in region order).
+  TrafficConfig cfg;
+  cfg.policy = OverloadPolicy::Shed;
+  cfg.flow_sizes = point_mass(40'000.0);
+  cfg.site_capacity_mbps = {cap_for_bytes(100'000.0), cap_for_bytes(1'000'000.0),
+                            cap_for_bytes(1'000'000.0)};
+
+  const FlowSet set =
+      flows_of({{0, 40'000.0}, {0, 40'000.0}, {0, 40'000.0}});
+  const std::vector<ProbeAssign> assign{{SiteId{0}, {SiteId{2}, SiteId{1}}}};
+  const TrafficSolve out = solve(set, assign, 3, cfg);
+
+  EXPECT_EQ(out.flows_shed, 1u);
+  EXPECT_EQ(out.sites[2].flows_shed_in, 1u);
+  EXPECT_EQ(out.sites[1].flows_shed_in, 0u);
+  EXPECT_EQ(out.sites[1].served_mbps, 0.0);
+}
+
 TEST(Solver, ShedWithoutReachableAlternateDegeneratesToSpill) {
   TrafficConfig cfg;
   cfg.policy = OverloadPolicy::Shed;
