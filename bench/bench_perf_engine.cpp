@@ -132,7 +132,7 @@ void BM_PrefixTrieLookup(benchmark::State& state) {
 BENCHMARK(BM_PrefixTrieLookup);
 
 void BM_JsonRoundTrip(benchmark::State& state) {
-  const auto doc = io::lab_config_to_json(lab::LabConfig{}).dump(2);
+  const auto doc = io::to_json(lab::LabConfig{}).dump(2);
   for (auto _ : state) {
     auto parsed = io::parse_json_or_throw(doc);
     benchmark::DoNotOptimize(parsed.dump().size());

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "ranycast/atlas/probe.hpp"
+#include "ranycast/core/fields.hpp"
 #include "ranycast/dns/geo_database.hpp"
 #include "ranycast/topo/generator.hpp"
 #include "ranycast/topo/ip_registry.hpp"
@@ -29,7 +30,22 @@ struct CensusConfig {
   double access_extra_mean_ms{1.5};
   double access_extra_cap_ms{10.0};
   std::uint64_t seed{0xA71A5};
+
+  bool operator==(const CensusConfig&) const = default;
 };
+
+/// CensusConfig's field list (core/fields.hpp): a lab config's "census".
+template <core::RecordOf<CensusConfig> Self, typename F>
+void for_each_field(Self& c, F&& f) {
+  f("total_probes", c.total_probes);
+  f("stable_prob", c.stable_prob);
+  f("reliable_geocode_prob", c.reliable_geocode_prob);
+  f("resolver_local_prob", c.resolver_local_prob);
+  f("resolver_public_ecs_prob", c.resolver_public_ecs_prob);
+  f("access_extra_mean_ms", c.access_extra_mean_ms);
+  f("access_extra_cap_ms", c.access_extra_cap_ms);
+  f("seed", c.seed);
+}
 
 class ProbeCensus {
  public:

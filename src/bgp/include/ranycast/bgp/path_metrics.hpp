@@ -12,6 +12,7 @@
 
 #include "ranycast/bgp/path_arena.hpp"
 #include "ranycast/bgp/route.hpp"
+#include "ranycast/core/fields.hpp"
 #include "ranycast/core/ipv4.hpp"
 #include "ranycast/core/rng.hpp"
 #include "ranycast/core/types.hpp"
@@ -32,7 +33,8 @@ struct LatencyModel {
   double jitter_max_ms{1.5};
   /// Last-mile access latency added for end hosts (probes).
   double access_base_ms{0.4};
-  std::uint64_t seed{0x9e3779b9};
+
+  bool operator==(const LatencyModel&) const = default;
 
   /// Total geographic length of the data path for a client in `client_city`
   /// using route `r`: client -> ingress interconnect -> ... -> site.
@@ -54,6 +56,15 @@ struct LatencyModel {
   static constexpr std::size_t kHopBuffer = 32;
 };
 
+/// LatencyModel's field list (core/fields.hpp): a lab config's "latency".
+template <core::RecordOf<LatencyModel> Self, typename F>
+void for_each_field(Self& m, F&& f) {
+  f("ms_per_km", m.ms_per_km);
+  f("per_hop_ms", m.per_hop_ms);
+  f("jitter_max_ms", m.jitter_max_ms);
+  f("access_base_ms", m.access_base_ms);
+}
+
 /// One responding traceroute hop.
 struct Hop {
   Ipv4Addr ip;
@@ -71,21 +82,16 @@ struct TracerouteResult {
   const Hop& phop() const { return hops.back(); }
 };
 
-struct TracerouteConfig {
-  /// Probability the penultimate hop does not respond (filters in §5.3 drop
-  /// such probes). Deterministic per (client, route).
-  double phop_loss_prob{0.05};
-  std::uint64_t seed{0xABCD};
-};
-
 /// Synthesize the traceroute a client would observe along `route`.
 /// `onsite_router` says whether the originating site announces via its own
 /// edge router (then the p-hop belongs to the CDN AS at the site city),
 /// otherwise the p-hop is the first-hop neighbor's interface at the site.
+/// The penultimate hop does not respond for 5% of (client, route) pairs,
+/// decided by a hash (filters in §5.3 drop such probes).
 TracerouteResult synth_traceroute(const Route& route, CityId client_city, Asn client_asn,
                                   double client_access_extra_ms, bool onsite_router,
                                   Ipv4Addr destination, const LatencyModel& latency,
-                                  const TracerouteConfig& config, topo::IpRegistry& registry);
+                                  topo::IpRegistry& registry);
 
 /// Read-only variant for concurrent fan-out: identical output, but never
 /// allocates registry state. Every (AS, city) pair on the path must already
@@ -95,7 +101,6 @@ TracerouteResult synth_traceroute(const Route& route, CityId client_city, Asn cl
 TracerouteResult synth_traceroute(const Route& route, CityId client_city, Asn client_asn,
                                   double client_access_extra_ms, bool onsite_router,
                                   Ipv4Addr destination, const LatencyModel& latency,
-                                  const TracerouteConfig& config,
                                   const topo::IpRegistry& registry);
 
 /// The registry-touch order of one synth_traceroute call, exposed so batch

@@ -9,6 +9,12 @@ namespace ranycast::bgp {
 
 namespace {
 
+/// Seeds of the per-path jitter and of the p-hop loss decision.
+constexpr std::uint64_t kJitterSeed = 0x9e3779b9;
+constexpr std::uint64_t kTracerouteSeed = 0xABCD;
+/// Probability a traceroute's penultimate hop does not respond.
+constexpr double kPhopLossProb = 0.05;
+
 /// Deterministic uniform [0,1) from a hash of the inputs.
 double hash01(std::uint64_t h) noexcept {
   return static_cast<double>(mix64(h) >> 11) * 0x1.0p-53;
@@ -33,7 +39,7 @@ Rtt compose_rtt(const LatencyModel& m, Km distance, std::span<const Asn> as_path
   const double propagation = distance.km * m.ms_per_km;
   const double hops = m.per_hop_ms * static_cast<double>(as_path.size() + 1);
   const double jitter =
-      m.jitter_max_ms * hash01(path_hash(as_path, origin_site, client_asn, m.seed));
+      m.jitter_max_ms * hash01(path_hash(as_path, origin_site, client_asn, kJitterSeed));
   return Rtt{propagation + hops + jitter + m.access_base_ms + client_access_extra_ms};
 }
 
@@ -91,7 +97,7 @@ template <typename RouterIpFn>
 TracerouteResult synth_traceroute_impl(const Route& route, CityId client_city, Asn client_asn,
                                        double client_access_extra_ms, bool onsite_router,
                                        Ipv4Addr destination, const LatencyModel& latency,
-                                       const TracerouteConfig& config, RouterIpFn&& router_ip) {
+                                       RouterIpFn&& router_ip) {
   const auto& gaz = geo::Gazetteer::world();
   TracerouteResult out;
   out.destination = destination;
@@ -134,8 +140,8 @@ TracerouteResult synth_traceroute_impl(const Route& route, CityId client_city, A
   out.hops.push_back(Hop{router_ip(phop_owner, site_city), phop_owner, site_city,
                          hop_rtt(site_city)});
 
-  const std::uint64_t h = hash_combine(path_hash(route, client_asn, config.seed), 0x7E57);
-  out.phop_valid = hash01(h) >= config.phop_loss_prob;
+  const std::uint64_t h = hash_combine(path_hash(route, client_asn, kTracerouteSeed), 0x7E57);
+  out.phop_valid = hash01(h) >= kPhopLossProb;
   return out;
 }
 
@@ -144,19 +150,18 @@ TracerouteResult synth_traceroute_impl(const Route& route, CityId client_city, A
 TracerouteResult synth_traceroute(const Route& route, CityId client_city, Asn client_asn,
                                   double client_access_extra_ms, bool onsite_router,
                                   Ipv4Addr destination, const LatencyModel& latency,
-                                  const TracerouteConfig& config, topo::IpRegistry& registry) {
+                                  topo::IpRegistry& registry) {
   return synth_traceroute_impl(route, client_city, client_asn, client_access_extra_ms,
-                               onsite_router, destination, latency, config,
+                               onsite_router, destination, latency,
                                [&](Asn a, CityId c) { return registry.router_ip(a, c); });
 }
 
 TracerouteResult synth_traceroute(const Route& route, CityId client_city, Asn client_asn,
                                   double client_access_extra_ms, bool onsite_router,
                                   Ipv4Addr destination, const LatencyModel& latency,
-                                  const TracerouteConfig& config,
                                   const topo::IpRegistry& registry) {
   return synth_traceroute_impl(route, client_city, client_asn, client_access_extra_ms,
-                               onsite_router, destination, latency, config, [&](Asn a, CityId c) {
+                               onsite_router, destination, latency, [&](Asn a, CityId c) {
                                  return registry.router_ip_if_known(a, c).value();
                                });
 }

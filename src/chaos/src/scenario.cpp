@@ -7,15 +7,9 @@
 
 namespace ranycast::chaos {
 
-namespace {
+using io::field_error;
 
-io::ConfigError field_error(std::string_view file, std::string field, std::string message) {
-  io::ConfigError err;
-  err.file = std::string(file);
-  err.field = std::move(field);
-  err.message = std::move(message);
-  return err;
-}
+namespace {
 
 /// Scenario "type" strings. Flap types expand into a down+up event pair so
 /// the engine still emits one report per step.
@@ -52,22 +46,26 @@ FaultKind flap_partner(FaultKind down) {
   return down == FaultKind::SiteLinkDown ? FaultKind::SiteLinkUp : FaultKind::LinkUp;
 }
 
-/// Read a required non-negative integer member.
-core::Expected<std::int64_t, io::ConfigError> required_int(const io::Json& obj,
-                                                           std::string_view file,
-                                                           const std::string& base,
-                                                           std::string_view key) {
+/// Read integer member `key` into `out`, an integer or an id enum (SiteId,
+/// Asn) by its underlying type, as io::from_json does: a fraction or a value
+/// out of range is refused. An absent member keeps `out` unless required.
+template <typename T>
+std::optional<io::ConfigError> read_int(const io::Json& obj, std::string_view file,
+                                        const std::string& base, std::string_view key, T& out,
+                                        bool required = true) {
   const io::Json* member = obj.find(key);
-  if (member == nullptr || !member->is_number()) {
-    return core::unexpected(
-        field_error(file, base + std::string(key), "required integer member is missing"));
+  if (member == nullptr) {
+    if (!required) return std::nullopt;
+    return field_error(file, base + std::string(key), "required integer member is missing");
   }
-  const double v = member->as_number();
-  if (v < 0 || v != static_cast<double>(static_cast<std::int64_t>(v))) {
-    return core::unexpected(
-        field_error(file, base + std::string(key), "must be a non-negative integer"));
+  if constexpr (std::is_enum_v<T>) {
+    std::underlying_type_t<T> raw{};
+    auto err = io::from_json(*member, raw, file, base + std::string(key));
+    if (!err) out = T{raw};
+    return err;
+  } else {
+    return io::from_json(*member, out, file, base + std::string(key));
   }
-  return static_cast<std::int64_t>(v);
 }
 
 core::Expected<FaultEvent, io::ConfigError> event_from_json(const io::Json& obj,
@@ -92,50 +90,34 @@ core::Expected<FaultEvent, io::ConfigError> event_from_json(const io::Json& obj,
   FaultEvent event;
   event.kind = spec->kind;
   event.label = obj.string_or("label", "");
+  std::optional<io::ConfigError> err;
   switch (spec->kind) {
     case FaultKind::SiteWithdraw:
-    case FaultKind::SiteRestore: {
-      auto site = required_int(obj, file, base, "site");
-      if (!site) return core::unexpected(std::move(site).error());
-      event.site = SiteId{static_cast<std::uint16_t>(*site)};
+    case FaultKind::SiteRestore:
+      err = read_int(obj, file, base, "site", event.site);
       break;
-    }
     case FaultKind::SiteLinkDown:
-    case FaultKind::SiteLinkUp: {
-      auto site = required_int(obj, file, base, "site");
-      if (!site) return core::unexpected(std::move(site).error());
-      event.site = SiteId{static_cast<std::uint16_t>(*site)};
-      event.attachment = static_cast<std::size_t>(obj.int_or("attachment", 0));
+    case FaultKind::SiteLinkUp:
+      err = read_int(obj, file, base, "site", event.site);
+      if (!err) err = read_int(obj, file, base, "attachment", event.attachment, false);
       break;
-    }
     case FaultKind::LinkDown:
-    case FaultKind::LinkUp: {
-      auto a = required_int(obj, file, base, "a");
-      if (!a) return core::unexpected(std::move(a).error());
-      auto b = required_int(obj, file, base, "b");
-      if (!b) return core::unexpected(std::move(b).error());
-      event.a = Asn{static_cast<std::uint32_t>(*a)};
-      event.b = Asn{static_cast<std::uint32_t>(*b)};
+    case FaultKind::LinkUp:
+      err = read_int(obj, file, base, "a", event.a);
+      if (!err) err = read_int(obj, file, base, "b", event.b);
       break;
-    }
     case FaultKind::RouteServerDown:
-    case FaultKind::RouteServerUp: {
-      auto ixp = required_int(obj, file, base, "ixp");
-      if (!ixp) return core::unexpected(std::move(ixp).error());
-      event.ixp = static_cast<std::size_t>(*ixp);
+    case FaultKind::RouteServerUp:
+      err = read_int(obj, file, base, "ixp", event.ixp);
       break;
-    }
     case FaultKind::RegionWithdraw:
-    case FaultKind::RegionRestore: {
-      auto region = required_int(obj, file, base, "region");
-      if (!region) return core::unexpected(std::move(region).error());
-      event.region = static_cast<std::size_t>(*region);
+    case FaultKind::RegionRestore:
+      err = read_int(obj, file, base, "region", event.region);
       break;
-    }
     case FaultKind::GeoDbStale:
     case FaultKind::GeoDbOutage:
     case FaultKind::GeoDbRestore: {
-      event.db = static_cast<std::size_t>(obj.int_or("db", 0));
+      if ((err = read_int(obj, file, base, "db", event.db, false))) break;
       event.magnitude = obj.number_or("extra_wrong_country_prob", 0.0);
       if (event.db >= 3) {
         return core::unexpected(
@@ -148,12 +130,8 @@ core::Expected<FaultEvent, io::ConfigError> event_from_json(const io::Json& obj,
       break;
     }
     case FaultKind::MeasurementDegrade: {
-      lab::MeasurementFaults f;
-      f.ping_loss_prob = obj.number_or("ping_loss_prob", 0.0);
-      f.dns_timeout_prob = obj.number_or("dns_timeout_prob", 0.0);
-      f.max_retries = static_cast<int>(obj.int_or("max_retries", f.max_retries));
-      f.backoff_base_ms = obj.number_or("backoff_base_ms", f.backoff_base_ms);
-      f.seed = static_cast<std::uint64_t>(obj.int_or("seed", static_cast<std::int64_t>(f.seed)));
+      const lab::MeasurementFaults& f = event.faults;
+      if ((err = io::from_json(obj, event.faults, file, base))) break;
       if (f.ping_loss_prob < 0.0 || f.ping_loss_prob > 1.0) {
         return core::unexpected(
             field_error(file, base + "ping_loss_prob", "must be a probability in [0,1]"));
@@ -170,7 +148,6 @@ core::Expected<FaultEvent, io::ConfigError> event_from_json(const io::Json& obj,
         return core::unexpected(
             field_error(file, base + "backoff_base_ms", "must be non-negative"));
       }
-      event.faults = f;
       break;
     }
     case FaultKind::MeasurementRestore:
@@ -186,6 +163,7 @@ core::Expected<FaultEvent, io::ConfigError> event_from_json(const io::Json& obj,
     case FaultKind::TrafficRestore:
       break;
   }
+  if (err) return core::unexpected(std::move(*err));
   return event;
 }
 

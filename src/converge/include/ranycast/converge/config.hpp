@@ -10,6 +10,8 @@
 
 #include <cstdint>
 
+#include "ranycast/core/fields.hpp"
+
 namespace ranycast::converge {
 
 struct Timers {
@@ -30,7 +32,20 @@ struct Timers {
   /// synchronized advertisement waves, made reproducible.
   std::uint64_t mrai_us{5'000'000};
   bool mrai_jitter{true};
+
+  bool operator==(const Timers&) const = default;
 };
+
+/// Timers' field list (core/fields.hpp).
+template <core::RecordOf<Timers> Self, typename F>
+void for_each_field(Self& t, F&& f) {
+  f("proc_delay_us", t.proc_delay_us);
+  f("proc_jitter_us", t.proc_jitter_us);
+  f("link_base_delay_us", t.link_base_delay_us);
+  f("link_us_per_km", t.link_us_per_km);
+  f("mrai_us", t.mrai_us);
+  f("mrai_jitter", t.mrai_jitter);
+}
 
 /// Route-flap damping (RFC 2439 shape): every change received on a session
 /// that already carried a route adds `flap_penalty`; the penalty halves
@@ -42,7 +57,19 @@ struct Damping {
   double suppress_threshold{2000.0};
   double reuse_threshold{750.0};
   std::uint64_t half_life_us{15'000'000};
+
+  bool operator==(const Damping&) const = default;
 };
+
+/// Damping's field list (core/fields.hpp).
+template <core::RecordOf<Damping> Self, typename F>
+void for_each_field(Self& d, F&& f) {
+  f("enabled", d.enabled);
+  f("flap_penalty", d.flap_penalty);
+  f("suppress_threshold", d.suppress_threshold);
+  f("reuse_threshold", d.reuse_threshold);
+  f("half_life_us", d.half_life_us);
+}
 
 struct Config {
   Timers timers{};
@@ -60,10 +87,21 @@ struct Config {
   /// min(interval, dns_failover_us); a node still dark when the plane
   /// quiesces is charged the full failover window.
   std::uint64_t dns_failover_us{30'000'000};
+
+  bool operator==(const Config&) const = default;
 };
 
-/// Stable hash over every field, folded into checkpoint fingerprints so a
-/// resume under a different convergence config is refused.
+/// Config's field list (core/fields.hpp).
+template <core::RecordOf<Config> Self, typename F>
+void for_each_field(Self& c, F&& f) {
+  f("timers", c.timers);
+  f("damping", c.damping);
+  f("max_events", c.max_events);
+  f("dns_failover_us", c.dns_failover_us);
+}
+
+/// Stable hash over every field of the lists, folded into checkpoint
+/// fingerprints so a resume under a different convergence config is refused.
 std::uint64_t fingerprint(const Config& c) noexcept;
 
 }  // namespace ranycast::converge

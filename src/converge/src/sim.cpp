@@ -1,7 +1,6 @@
 #include "ranycast/converge/sim.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "ranycast/core/rng.hpp"
@@ -21,21 +20,7 @@ constexpr std::size_t kCompactSlack = 65'536;
 }  // namespace
 
 std::uint64_t fingerprint(const Config& c) noexcept {
-  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  std::uint64_t h = hash_combine(0x434f4e56u /* "CONV" */, c.timers.proc_delay_us);
-  h = hash_combine(h, c.timers.proc_jitter_us);
-  h = hash_combine(h, c.timers.link_base_delay_us);
-  h = hash_combine(h, bits(c.timers.link_us_per_km));
-  h = hash_combine(h, c.timers.mrai_us);
-  h = hash_combine(h, static_cast<std::uint64_t>(c.timers.mrai_jitter));
-  h = hash_combine(h, static_cast<std::uint64_t>(c.damping.enabled));
-  h = hash_combine(h, bits(c.damping.flap_penalty));
-  h = hash_combine(h, bits(c.damping.suppress_threshold));
-  h = hash_combine(h, bits(c.damping.reuse_threshold));
-  h = hash_combine(h, c.damping.half_life_us);
-  h = hash_combine(h, c.max_events);
-  h = hash_combine(h, c.dns_failover_us);
-  return h;
+  return core::fingerprint_fields(0x434f4e56u /* "CONV" */, c);
 }
 
 namespace detail {

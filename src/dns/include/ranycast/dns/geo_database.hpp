@@ -13,6 +13,7 @@
 #include <string>
 #include <string_view>
 
+#include "ranycast/core/fields.hpp"
 #include "ranycast/core/ipv4.hpp"
 #include "ranycast/core/rng.hpp"
 #include "ranycast/geo/gazetteer.hpp"
@@ -57,6 +58,8 @@ class GeoDatabase {
     /// country is right (returns another city of the same country).
     double wrong_city_prob{0.20};
     std::uint64_t seed{1};
+
+    bool operator==(const Config&) const = default;
   };
 
   /// Degraded operating mode injected by the chaos engine. Staleness models
@@ -100,5 +103,15 @@ class GeoDatabase {
   const topo::IpRegistry* registry_;
   Fault fault_{};
 };
+
+/// GeoDatabase::Config's field list (core/fields.hpp): a "geo_dbs" entry.
+template <core::RecordOf<GeoDatabase::Config> Self, typename F>
+void for_each_field(Self& c, F&& f) {
+  f("name", c.name);
+  f("wrong_country_prob", c.wrong_country_prob);
+  f("intl_home_bias_prob", c.intl_home_bias_prob);
+  f("wrong_city_prob", c.wrong_city_prob);
+  f("seed", c.seed);
+}
 
 }  // namespace ranycast::dns

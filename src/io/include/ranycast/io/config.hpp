@@ -18,38 +18,24 @@
 
 namespace ranycast::io {
 
-/// A configuration-loading failure with enough context to act on.
-struct ConfigError {
-  std::string file;       ///< path, or "<inline>" for in-memory documents
-  std::size_t offset{0};  ///< byte offset of a syntax error; 0 when n/a
-  std::string field;      ///< dotted path of the offending field; "" when n/a
-  std::string message;
+// The LabConfig schema is its field lists (lab/lab.hpp), read by
+// io::from_json and written by io::to_json. Every member is optional;
+// unknown keys are ignored, so configs stay forward-compatible:
+//   {
+//     "seed": 2023,
+//     "observability": null,  // true/false forces obs on or off
+//     "world":   {"seed", "stub_count", "tier1_count", "tier1_city_coverage",
+//                 "international_transits", "ixp_count", ...},
+//     "census":  {"total_probes", "stable_prob", "resolver_local_prob", ...},
+//     "latency": {"ms_per_km", "per_hop_ms", "jitter_max_ms", "access_base_ms"},
+//     "geo_dbs": [{"name", "wrong_country_prob", "intl_home_bias_prob",
+//                  "wrong_city_prob", "seed"}, ...]   // up to 3 entries
+//   }
 
-  /// "config.json: field 'census.total_probes': must be positive (got 0)"
-  std::string to_string() const;
-};
-
-/// Parse a LabConfig from a JSON object. Every field is optional and
-/// defaults to the library default; unknown keys are ignored (configs stay
-/// forward-compatible). Schema:
-///   {
-///     "seed": 2023,
-///     "world":   {"seed", "stub_count", "tier1_count", "tier1_city_coverage",
-///                 "international_transits", "ixp_count", ...},
-///     "census":  {"total_probes", "stable_prob", "resolver_local_prob", ...},
-///     "latency": {"per_hop_ms", "jitter_max_ms", "access_base_ms"},
-///     "geo_dbs": [{"name", "wrong_country_prob", "intl_home_bias_prob",
-///                  "wrong_city_prob", "seed"}, ...]   // up to 3 entries
-///   }
-lab::LabConfig lab_config_from_json(const Json& json);
-
-/// Serialize a LabConfig (the exact inverse of the reader for covered keys).
-Json lab_config_to_json(const lab::LabConfig& config);
-
-/// Stable 64-bit fingerprint of a configuration: a hash of its canonical
-/// JSON serialization mixed with the seed. Two configs fingerprint equal
-/// iff every covered knob matches — the binding guard checkpoints use to
-/// refuse resuming one experiment's progress into another.
+/// Stable 64-bit fingerprint of a configuration: its field lists walked by
+/// core::fingerprint_fields, except observability (a reporting switch). The
+/// binding guard checkpoints use to refuse resuming one experiment's
+/// progress into another.
 std::uint64_t config_fingerprint(const lab::LabConfig& config);
 
 /// Range-check a LabConfig (probabilities in [0,1], positive counts,
@@ -64,7 +50,7 @@ core::Expected<std::string, ConfigError> read_file(const std::string& path);
 /// Read + parse a JSON document; syntax errors carry the byte offset.
 core::Expected<Json, ConfigError> load_json(const std::string& path);
 
-/// Read + parse + bind + validate a laboratory configuration.
+/// Read + parse + bind (io::from_json) + validate a laboratory configuration.
 core::Expected<lab::LabConfig, ConfigError> load_config(const std::string& path);
 
 }  // namespace ranycast::io

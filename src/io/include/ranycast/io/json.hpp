@@ -5,8 +5,10 @@
 // and precise error positions. No external dependencies.
 #pragma once
 
+#include <cmath>
 #include <concepts>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -54,7 +56,8 @@ class Json {
   /// Object member access; nullptr when absent or not an object.
   const Json* find(std::string_view key) const;
 
-  /// Typed member readers with defaults (for config files).
+  /// Typed member readers: `fallback` when absent or of another type. int_or
+  /// truncates, and gives `fallback` for a number outside int64's range.
   double number_or(std::string_view key, double fallback) const;
   std::int64_t int_or(std::string_view key, std::int64_t fallback) const;
   bool bool_or(std::string_view key, bool fallback) const;
@@ -74,28 +77,137 @@ struct JsonParseError {
   std::string message;
 };
 
-/// A report record (core/fields.hpp) as an object keyed by field name:
-/// integers as int64, nested records as objects, vectors as arrays.
+/// A record (core/fields.hpp) as an object keyed by field name: integers
+/// as int64, enums by name, an empty optional as null, nested records as
+/// objects, vectors and arrays as arrays.
 template <typename T>
 Json to_json(const T& v) {
   if constexpr (std::same_as<T, bool> || std::same_as<T, double> ||
                 std::same_as<T, std::string>) {
     return Json(v);
-  } else if constexpr (std::unsigned_integral<T>) {
+  } else if constexpr (std::integral<T>) {
     return Json(static_cast<std::int64_t>(v));
-  } else if constexpr (core::RecordVector<T>) {
+  } else if constexpr (core::NamedEnum<T>) {
+    return Json(std::string(to_string(v)));
+  } else if constexpr (std::same_as<T, std::optional<bool>>) {
+    return v ? Json(*v) : Json(nullptr);
+  } else if constexpr (std::same_as<T, std::vector<double>> || core::RecordVector<T> ||
+                       core::RecordArray<T>) {
     JsonArray out;
     out.reserve(v.size());
     for (const auto& e : v) out.push_back(to_json(e));
     return Json(std::move(out));
   } else {
-    static_assert(core::Record<T>, "not a report record field");
+    static_assert(core::Record<T>, "not a record field");
     JsonObject out;
     for_each_field(v, [&out](std::string_view name, const auto& m) {
       out.emplace(std::string(name), to_json(m));
     });
     return Json(std::move(out));
   }
+}
+
+/// A configuration-loading failure with enough context to act on.
+struct ConfigError {
+  std::string file;       ///< path, or "<inline>" for in-memory documents
+  std::size_t offset{0};  ///< byte offset of a syntax error; 0 when n/a
+  std::string field;      ///< dotted path of the offending field; "" when n/a
+  std::string message;
+
+  /// "config.json: field 'census.total_probes': must be positive (got 0)"
+  std::string to_string() const;
+};
+
+/// `d` as a T when it is a whole number within T's range; nullopt otherwise.
+/// Defined for every double, NaN and the infinities included.
+template <std::integral T>
+  requires(!std::same_as<T, bool>)
+std::optional<T> checked_integer(double d) noexcept {
+  // 2^digits is exact as a double; a 64-bit T's maximum is not.
+  constexpr double kEnd = static_cast<double>(std::numeric_limits<T>::max() / 2 + 1) * 2.0;
+  constexpr double kBegin = std::is_signed_v<T> ? -kEnd : 0.0;
+  if (!(d >= kBegin && d < kEnd) || d != std::trunc(d)) return std::nullopt;
+  return static_cast<T>(d);
+}
+
+/// A ConfigError naming `field` of `file`, with no byte offset.
+ConfigError field_error(std::string_view file, std::string field, std::string message);
+
+/// Read a config record (core/fields.hpp), or a member type of one. Absent
+/// or null members keep their value; unknown keys and entries beyond a
+/// std::array's size are ignored. A wrong JSON type, a fraction or an
+/// out-of-range number for an integer, or an unknown enum name is refused
+/// by its dotted path: `base` is the path of `value` ("" at the root,
+/// "traffic." for a block), so errors name "world.stub_count",
+/// "geo_dbs[1].seed" or "traffic.site_capacity_mbps[1]". After an error
+/// `value` may be partly read.
+template <typename T>
+std::optional<ConfigError> from_json(const Json& json, T& value, std::string_view file = {},
+                                     std::string_view base = {}) {
+  if (base.ends_with('.')) base.remove_suffix(1);
+  const std::string path(base);
+  const auto refuse = [&](const std::string& what) {
+    return field_error(file, path, "must be " + what);
+  };
+  if constexpr (std::same_as<T, bool> || std::same_as<T, std::optional<bool>>) {
+    if (!json.is_bool()) return refuse("true or false");
+    value = json.as_bool();
+  } else if constexpr (std::integral<T>) {
+    const auto i = json.is_number() ? checked_integer<T>(json.as_number()) : std::nullopt;
+    if (!i) {
+      return refuse("an integer in [" + std::to_string(std::numeric_limits<T>::min()) + ", " +
+                    std::to_string(std::numeric_limits<T>::max()) + "]");
+    }
+    value = *i;
+  } else if constexpr (std::same_as<T, double>) {
+    if (!json.is_number()) return refuse("a number");
+    value = json.as_number();
+  } else if constexpr (std::same_as<T, std::string>) {
+    if (!json.is_string()) return refuse("a string");
+    value = json.as_string();
+  } else if constexpr (core::NamedEnum<T>) {
+    if (!json.is_string()) return refuse("a string");
+    std::string names;
+    for (const T e : enum_values(value)) {
+      if (to_string(e) == json.as_string()) {
+        value = e;
+        return std::nullopt;
+      }
+      names += (names.empty() ? "" : "|") + std::string(to_string(e));
+    }
+    return field_error(file, path, "unknown value '" + json.as_string() + "' (" + names + ")");
+  } else if constexpr (std::same_as<T, std::vector<double>>) {
+    if (!json.is_array()) return refuse("an array of numbers");
+    std::vector<double> values;
+    for (const Json& e : json.as_array()) {
+      if (!e.is_number()) {
+        return field_error(file, path + "[" + std::to_string(values.size()) + "]",
+                           "must be a number");
+      }
+      values.push_back(e.as_number());
+    }
+    value = std::move(values);
+  } else if constexpr (core::RecordArray<T>) {
+    if (!json.is_array()) return refuse("an array");
+    const JsonArray& entries = json.as_array();
+    for (std::size_t i = 0; i < entries.size() && i < value.size(); ++i) {
+      if (entries[i].is_null()) continue;
+      if (auto err = from_json(entries[i], value[i], file, path + "[" + std::to_string(i) + "]")) {
+        return err;
+      }
+    }
+  } else {
+    static_assert(core::Record<T>, "not a config record field");
+    if (!json.is_object()) return refuse("an object");
+    std::optional<ConfigError> err;
+    for_each_field(value, [&](std::string_view name, auto& m) {
+      const Json* member = err ? nullptr : json.find(name);
+      if (member == nullptr || member->is_null()) return;
+      err = from_json(*member, m, file, path.empty() ? name : path + "." + std::string(name));
+    });
+    return err;
+  }
+  return std::nullopt;
 }
 
 /// Parse a complete JSON document; trailing garbage is an error.

@@ -22,7 +22,8 @@ double Json::number_or(std::string_view key, double fallback) const {
 
 std::int64_t Json::int_or(std::string_view key, std::int64_t fallback) const {
   const Json* v = find(key);
-  return v != nullptr && v->is_number() ? static_cast<std::int64_t>(v->as_number()) : fallback;
+  if (v == nullptr || !v->is_number()) return fallback;
+  return checked_integer<std::int64_t>(std::trunc(v->as_number())).value_or(fallback);
 }
 
 bool Json::bool_or(std::string_view key, bool fallback) const {
@@ -33,6 +34,30 @@ bool Json::bool_or(std::string_view key, bool fallback) const {
 std::string Json::string_or(std::string_view key, std::string fallback) const {
   const Json* v = find(key);
   return v != nullptr && v->is_string() ? v->as_string() : std::move(fallback);
+}
+
+std::string ConfigError::to_string() const {
+  std::string out = file.empty() ? std::string("<config>") : file;
+  if (offset != 0) {
+    out += ":byte ";
+    out += std::to_string(offset);
+  }
+  if (!field.empty()) {
+    out += ": field '";
+    out += field;
+    out += "'";
+  }
+  out += ": ";
+  out += message;
+  return out;
+}
+
+ConfigError field_error(std::string_view file, std::string field, std::string message) {
+  ConfigError err;
+  err.file = std::string(file);
+  err.field = std::move(field);
+  err.message = std::move(message);
+  return err;
 }
 
 namespace {

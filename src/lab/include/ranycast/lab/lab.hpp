@@ -22,6 +22,7 @@
 #include "ranycast/bgp/solver.hpp"
 #include "ranycast/cdn/builder.hpp"
 #include "ranycast/cdn/deployment.hpp"
+#include "ranycast/core/fields.hpp"
 #include "ranycast/core/rng.hpp"
 #include "ranycast/dns/geo_database.hpp"
 #include "ranycast/topo/generator.hpp"
@@ -69,7 +70,18 @@ struct MeasurementFaults {
   std::uint64_t seed{0xFA117};
 
   bool active() const noexcept { return ping_loss_prob > 0.0 || dns_timeout_prob > 0.0; }
+  bool operator==(const MeasurementFaults&) const = default;
 };
+
+/// MeasurementFaults' field list (core/fields.hpp): a measurement_degrade event's.
+template <core::RecordOf<MeasurementFaults> Self, typename F>
+void for_each_field(Self& m, F&& f) {
+  f("ping_loss_prob", m.ping_loss_prob);
+  f("dns_timeout_prob", m.dns_timeout_prob);
+  f("max_retries", m.max_retries);
+  f("backoff_base_ms", m.backoff_base_ms);
+  f("seed", m.seed);
+}
 
 /// One retained probe's row of a measurement pass (Lab::measure), by value:
 /// a re-solve frees the routes of the previous pass.
@@ -87,22 +99,34 @@ struct Measurement {
 static_assert(sizeof(Measurement) == 24);
 
 struct LabConfig {
+  std::uint64_t seed{2023};
+  /// Process-wide observability override applied by Lab::create: nullopt
+  /// leaves the RANYCAST_OBS environment setting alone, true/false forces
+  /// obs::set_enabled. See docs/observability.md.
+  std::optional<bool> observability{};
   topo::GeneratorParams world;
   atlas::CensusConfig census;
   bgp::LatencyModel latency;
-  bgp::TracerouteConfig traceroute;
   /// Error profiles of the three commercial-style geolocation databases.
   std::array<dns::GeoDatabase::Config, 3> geo_dbs{
       dns::GeoDatabase::Config{"maxmind-like", 0.012, 0.80, 0.20, 101},
       dns::GeoDatabase::Config{"ipinfo-like", 0.022, 0.75, 0.25, 202},
       dns::GeoDatabase::Config{"edgescape-like", 0.017, 0.85, 0.22, 303},
   };
-  std::uint64_t seed{2023};
-  /// Process-wide observability override applied by Lab::create: nullopt
-  /// leaves the RANYCAST_OBS environment setting alone, true/false forces
-  /// obs::set_enabled. See docs/observability.md.
-  std::optional<bool> observability{};
+
+  bool operator==(const LabConfig&) const = default;
 };
+
+/// LabConfig's field list (core/fields.hpp): a lab config file's schema.
+template <core::RecordOf<LabConfig> Self, typename F>
+void for_each_field(Self& c, F&& f) {
+  f("seed", c.seed);
+  f("observability", c.observability);
+  f("world", c.world);
+  f("census", c.census);
+  f("latency", c.latency);
+  f("geo_dbs", c.geo_dbs);
+}
 
 class Lab {
  public:

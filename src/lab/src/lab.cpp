@@ -341,8 +341,7 @@ std::optional<bgp::TracerouteResult> Lab::traceroute(const atlas::Probe& probe,
   if (!answers<kTraceGate>(measurement_faults_, probe.id, address.bits())) return std::nullopt;
   const cdn::Site& site = info->handle->deployment.site(route->origin_site);
   return bgp::synth_traceroute(*route, probe.city, probe.asn, probe.access_extra_ms,
-                               site.onsite_router, address, config_.latency,
-                               config_.traceroute, registry_);
+                               site.onsite_router, address, config_.latency, registry_);
 }
 
 std::vector<Lab::DnsAnswer> Lab::dns_lookup_all(std::span<const atlas::Probe* const> probes,
@@ -404,8 +403,7 @@ std::vector<std::optional<bgp::TracerouteResult>> Lab::traceroute_all(
     const atlas::Probe& probe = *probes[i];
     const cdn::Site& site = info->handle->deployment.site(routes[i]->origin_site);
     out[i] = bgp::synth_traceroute(*routes[i], probe.city, probe.asn, probe.access_extra_ms,
-                                   site.onsite_router, address, config_.latency,
-                                   config_.traceroute, warmed);
+                                   site.onsite_router, address, config_.latency, warmed);
   });
   return out;
 }

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "ranycast/core/fields.hpp"
 #include "ranycast/guard/checkpoint.hpp"
 
 namespace ranycast::serve {
@@ -34,7 +35,18 @@ struct AdmissionConfig {
   std::uint32_t burst{64};          ///< bucket capacity in whole tokens
   std::uint32_t max_queue_depth{32};
   std::uint64_t service_time_ns{500'000};  ///< virtual cost of one lookup
+
+  bool operator==(const AdmissionConfig&) const = default;
 };
+
+/// AdmissionConfig's field list (core/fields.hpp).
+template <core::RecordOf<AdmissionConfig> Self, typename F>
+void for_each_field(Self& c, F&& f) {
+  f("rate_qps", c.rate_qps);
+  f("burst", c.burst);
+  f("max_queue_depth", c.max_queue_depth);
+  f("service_time_ns", c.service_time_ns);
+}
 
 enum class AdmitDecision : std::uint8_t {
   Admit = 0,

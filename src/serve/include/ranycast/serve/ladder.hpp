@@ -30,6 +30,7 @@
 #include <string_view>
 #include <vector>
 
+#include "ranycast/core/fields.hpp"
 #include "ranycast/guard/checkpoint.hpp"
 
 namespace ranycast::serve {
@@ -52,7 +53,18 @@ struct LadderConfig {
   std::uint64_t reject_after_age_ns{10'000'000'000};
   /// Consecutive failed builds that force Frozen regardless of age.
   std::uint32_t freeze_after_failures{3};
+
+  bool operator==(const LadderConfig&) const = default;
 };
+
+/// LadderConfig's field list (core/fields.hpp).
+template <core::RecordOf<LadderConfig> Self, typename F>
+void for_each_field(Self& c, F&& f) {
+  f("fresh_max_age_ns", c.fresh_max_age_ns);
+  f("stale_max_age_ns", c.stale_max_age_ns);
+  f("reject_after_age_ns", c.reject_after_age_ns);
+  f("freeze_after_failures", c.freeze_after_failures);
+}
 
 /// The refresher-health inputs a rung is derived from.
 struct LadderHealth {

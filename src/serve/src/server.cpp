@@ -1,7 +1,6 @@
 #include "ranycast/serve/server.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "ranycast/core/rng.hpp"
@@ -109,15 +108,8 @@ std::uint64_t Server::fingerprint() const {
   h = hash_combine(h, cfg_.seed);
   h = hash_combine(h, cfg_.refresh_interval_ns);
   h = hash_combine(h, cfg_.build_time_ns);
-  h = hash_combine(h, cfg_.ladder.fresh_max_age_ns);
-  h = hash_combine(h, cfg_.ladder.stale_max_age_ns);
-  h = hash_combine(h, cfg_.ladder.reject_after_age_ns);
-  h = hash_combine(h, cfg_.ladder.freeze_after_failures);
-  h = hash_combine(h, std::bit_cast<std::uint64_t>(cfg_.admission.rate_qps));
-  h = hash_combine(h, cfg_.admission.burst);
-  h = hash_combine(h, cfg_.admission.max_queue_depth);
-  h = hash_combine(h, cfg_.admission.service_time_ns);
-  return h;
+  h = core::fingerprint_fields(h, cfg_.ladder);
+  return core::fingerprint_fields(h, cfg_.admission);
 }
 
 LadderHealth Server::health_at(std::uint64_t now_ns) const {

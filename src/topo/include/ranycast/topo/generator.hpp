@@ -14,6 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ranycast/core/fields.hpp"
 #include "ranycast/core/rng.hpp"
 #include "ranycast/geo/gazetteer.hpp"
 #include "ranycast/topo/graph.hpp"
@@ -41,7 +42,6 @@ struct GeneratorParams {
   /// space is registered in another country (their probes mis-geolocate
   /// consistently, the paper's "international transit" effect).
   double stub_foreign_registration_prob{0.025};
-  double stub_intl_provider_prob{0.15};
   double stub_ixp_join_prob{0.06};
 
   int ixp_count{18};
@@ -50,7 +50,27 @@ struct GeneratorParams {
   /// Of established IXP sessions, the fraction that are bilateral (public)
   /// rather than via the route server.
   double ixp_bilateral_prob{0.45};
+
+  bool operator==(const GeneratorParams&) const = default;
 };
+
+/// GeneratorParams' field list (core/fields.hpp): a lab config's "world".
+template <core::RecordOf<GeneratorParams> Self, typename F>
+void for_each_field(Self& p, F&& f) {
+  f("seed", p.seed);
+  f("tier1_count", p.tier1_count);
+  f("tier1_city_coverage", p.tier1_city_coverage);
+  f("international_transits", p.international_transits);
+  f("intl_transit_customer_prob", p.intl_transit_customer_prob);
+  f("max_national_transits_per_country", p.max_national_transits_per_country);
+  f("stub_count", p.stub_count);
+  f("stub_second_provider_prob", p.stub_second_provider_prob);
+  f("stub_foreign_registration_prob", p.stub_foreign_registration_prob);
+  f("stub_ixp_join_prob", p.stub_ixp_join_prob);
+  f("ixp_count", p.ixp_count);
+  f("ixp_mesh_prob", p.ixp_mesh_prob);
+  f("ixp_bilateral_prob", p.ixp_bilateral_prob);
+}
 
 /// A generated world: the graph plus by-city indices used by downstream
 /// modules (probe placement, CDN site attachment).

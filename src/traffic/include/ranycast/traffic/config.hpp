@@ -2,7 +2,8 @@
 // configs — the same Expected-based, file:offset:field error surface the
 // LabConfig loader has.
 //
-// Schema (all members optional, unknown keys ignored):
+// The schema is TrafficConfig's field list (traffic/model.hpp), read by
+// io::from_json and written by io::to_json; every member is optional:
 //   "traffic": {
 //     "flows_per_probe_per_s": 2.0,
 //     "window_s": 1.0,
@@ -14,8 +15,8 @@
 //     "max_rho": 0.99,
 //     "max_shed_waves": 8,
 //     "seed": 8059164,
-//     "flow_sizes": {"bytes": [...], "prob": [...]}  // empirical CDF knots
-//   }
+//     "flow_sizes": {"bytes": [...], "prob": [...]}  // empirical CDF knots,
+//   }                                                // both or neither
 #pragma once
 
 #include <string>
@@ -28,14 +29,11 @@
 
 namespace ranycast::traffic {
 
-/// Bind a parsed "traffic" JSON object. `file` labels errors; `base` is the
-/// dotted prefix of the block within its document (e.g. "traffic.").
+/// Bind (io::from_json) and validate a parsed "traffic" JSON object. `file`
+/// labels errors; `base` is the block's dotted prefix (e.g. "traffic.").
 core::Expected<TrafficConfig, io::ConfigError> config_from_json(const io::Json& json,
                                                                 std::string_view file = {},
                                                                 const std::string& base = "traffic.");
-
-/// Exact inverse of the reader for covered keys (manifests, round-trips).
-io::Json config_to_json(const TrafficConfig& cfg);
 
 /// Range-check a TrafficConfig: capacities > 0, rates finite and
 /// non-negative, window positive, thresholds in (0, 1], CDF strictly

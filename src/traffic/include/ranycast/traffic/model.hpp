@@ -11,9 +11,12 @@
 // TrafficConfig and seed generate byte-identical demand.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 #include <vector>
+
+#include "ranycast/core/fields.hpp"
 
 namespace ranycast::traffic {
 
@@ -35,6 +38,11 @@ enum class OverloadPolicy : std::uint8_t {
 
 std::string_view to_string(OverloadPolicy p) noexcept;
 
+/// Every policy (core::NamedEnum: configs name a policy by to_string).
+constexpr std::array<OverloadPolicy, 2> enum_values(OverloadPolicy) noexcept {
+  return {OverloadPolicy::Spill, OverloadPolicy::Shed};
+}
+
 /// Piecewise-linear empirical flow-size CDF (bytes). `bytes` and `prob` are
 /// parallel, strictly increasing, with prob.back() == 1.0; sampling inverts
 /// the CDF with linear interpolation between knots, so quantile u maps to a
@@ -50,14 +58,21 @@ struct FlowSizeCdf {
   /// service-time term so the delay model never re-samples).
   double mean_bytes() const noexcept;
 
-  bool valid() const noexcept;
-
   /// Anycast CDN default: mice-dominated flow counts with an elephant tail
   /// carrying most of the bytes (shape after "A First Look at Anycast CDN
   /// Traffic": ~70% of flows under 10 KB, >half the bytes in the top few
   /// percent of flows).
   static FlowSizeCdf anycast_cdn();
+
+  bool operator==(const FlowSizeCdf&) const = default;
 };
+
+/// FlowSizeCdf's field list (core/fields.hpp).
+template <core::RecordOf<FlowSizeCdf> Self, typename F>
+void for_each_field(Self& c, F&& f) {
+  f("bytes", c.bytes);
+  f("prob", c.prob);
+}
 
 struct TrafficConfig {
   /// Poisson arrival rate per retained probe, flows per second. A group's
@@ -92,11 +107,29 @@ struct TrafficConfig {
     }
     return default_site_capacity_mbps;
   }
+
+  bool operator==(const TrafficConfig&) const = default;
 };
 
-/// Stable hash over every demand/capacity/policy knob, folded into guard
-/// checkpoint fingerprints so a resume under a different traffic model is
-/// refused (same contract as converge::fingerprint).
+/// TrafficConfig's field list (core/fields.hpp): a traffic block's schema.
+template <core::RecordOf<TrafficConfig> Self, typename F>
+void for_each_field(Self& c, F&& f) {
+  f("flows_per_probe_per_s", c.flows_per_probe_per_s);
+  f("window_s", c.window_s);
+  f("demand_scale", c.demand_scale);
+  f("flow_sizes", c.flow_sizes);
+  f("default_site_capacity_mbps", c.default_site_capacity_mbps);
+  f("site_capacity_mbps", c.site_capacity_mbps);
+  f("policy", c.policy);
+  f("admission_threshold", c.admission_threshold);
+  f("max_rho", c.max_rho);
+  f("max_shed_waves", c.max_shed_waves);
+  f("seed", c.seed);
+}
+
+/// Stable hash over every field of the list, folded into guard checkpoint
+/// fingerprints so a resume under a different traffic model is refused
+/// (same contract as converge::fingerprint).
 std::uint64_t fingerprint(const TrafficConfig& c) noexcept;
 
 }  // namespace ranycast::traffic

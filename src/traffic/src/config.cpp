@@ -4,15 +4,9 @@
 
 namespace ranycast::traffic {
 
-namespace {
+using io::field_error;
 
-io::ConfigError field_error(std::string_view file, std::string field, std::string message) {
-  io::ConfigError err;
-  err.file = std::string(file);
-  err.field = std::move(field);
-  err.message = std::move(message);
-  return err;
-}
+namespace {
 
 bool finite_nonneg(double v) { return std::isfinite(v) && v >= 0.0; }
 
@@ -87,100 +81,22 @@ std::optional<io::ConfigError> validate(const TrafficConfig& cfg, std::string_vi
 core::Expected<TrafficConfig, io::ConfigError> config_from_json(const io::Json& json,
                                                                 std::string_view file,
                                                                 const std::string& base) {
-  if (!json.is_object()) {
-    return core::unexpected(field_error(file, base + "*", "traffic block must be a JSON object"));
-  }
   TrafficConfig cfg;
-  cfg.flows_per_probe_per_s = json.number_or("flows_per_probe_per_s", cfg.flows_per_probe_per_s);
-  cfg.window_s = json.number_or("window_s", cfg.window_s);
-  cfg.demand_scale = json.number_or("demand_scale", cfg.demand_scale);
-  cfg.default_site_capacity_mbps =
-      json.number_or("default_site_capacity_mbps", cfg.default_site_capacity_mbps);
-  if (const io::Json* caps = json.find("site_capacity_mbps")) {
-    if (!caps->is_array()) {
-      return core::unexpected(
-          field_error(file, base + "site_capacity_mbps", "must be an array of numbers"));
-    }
-    for (std::size_t i = 0; i < caps->as_array().size(); ++i) {
-      const io::Json& v = caps->as_array()[i];
-      if (!v.is_number()) {
-        return core::unexpected(field_error(
-            file, base + "site_capacity_mbps[" + std::to_string(i) + "]", "must be a number"));
+  // Half a CDF has no default: a flow_sizes object must give both arrays.
+  if (const io::Json* sizes = json.find("flow_sizes"); sizes != nullptr && sizes->is_object()) {
+    std::optional<io::ConfigError> missing;
+    for_each_field(cfg.flow_sizes, [&](std::string_view name, const auto&) {
+      const io::Json* knots = sizes->find(name);
+      if (!missing && (knots == nullptr || knots->is_null())) {
+        missing = field_error(file, base + "flow_sizes." + std::string(name),
+                              "required array member is missing");
       }
-      cfg.site_capacity_mbps.push_back(v.as_number());
-    }
+    });
+    if (missing) return core::unexpected(std::move(*missing));
   }
-  const std::string policy = json.string_or("policy", std::string(to_string(cfg.policy)));
-  if (policy == "spill") {
-    cfg.policy = OverloadPolicy::Spill;
-  } else if (policy == "shed") {
-    cfg.policy = OverloadPolicy::Shed;
-  } else {
-    return core::unexpected(
-        field_error(file, base + "policy", "unknown policy '" + policy + "' (spill|shed)"));
-  }
-  cfg.admission_threshold = json.number_or("admission_threshold", cfg.admission_threshold);
-  cfg.max_rho = json.number_or("max_rho", cfg.max_rho);
-  cfg.max_shed_waves = static_cast<std::size_t>(
-      json.int_or("max_shed_waves", static_cast<std::int64_t>(cfg.max_shed_waves)));
-  cfg.seed =
-      static_cast<std::uint64_t>(json.int_or("seed", static_cast<std::int64_t>(cfg.seed)));
-  if (const io::Json* sizes = json.find("flow_sizes")) {
-    if (!sizes->is_object()) {
-      return core::unexpected(
-          field_error(file, base + "flow_sizes", "must be an object with bytes/prob arrays"));
-    }
-    const auto read_knots = [&](std::string_view key, std::vector<double>& out)
-        -> std::optional<io::ConfigError> {
-      const io::Json* arr = sizes->find(key);
-      if (arr == nullptr || !arr->is_array()) {
-        return field_error(file, base + "flow_sizes." + std::string(key),
-                           "required array member is missing");
-      }
-      out.clear();
-      for (std::size_t i = 0; i < arr->as_array().size(); ++i) {
-        const io::Json& v = arr->as_array()[i];
-        if (!v.is_number()) {
-          return field_error(
-              file, base + "flow_sizes." + std::string(key) + "[" + std::to_string(i) + "]",
-              "must be a number");
-        }
-        out.push_back(v.as_number());
-      }
-      return std::nullopt;
-    };
-    if (auto err = read_knots("bytes", cfg.flow_sizes.bytes)) {
-      return core::unexpected(std::move(*err));
-    }
-    if (auto err = read_knots("prob", cfg.flow_sizes.prob)) {
-      return core::unexpected(std::move(*err));
-    }
-  }
+  if (auto err = io::from_json(json, cfg, file, base)) return core::unexpected(std::move(*err));
   if (auto err = validate(cfg, file, base)) return core::unexpected(std::move(*err));
   return cfg;
-}
-
-io::Json config_to_json(const TrafficConfig& cfg) {
-  io::JsonArray caps;
-  caps.reserve(cfg.site_capacity_mbps.size());
-  for (double v : cfg.site_capacity_mbps) caps.emplace_back(v);
-  io::JsonArray bytes, prob;
-  for (double v : cfg.flow_sizes.bytes) bytes.emplace_back(v);
-  for (double v : cfg.flow_sizes.prob) prob.emplace_back(v);
-  return io::Json(io::JsonObject{
-      {"flows_per_probe_per_s", io::Json(cfg.flows_per_probe_per_s)},
-      {"window_s", io::Json(cfg.window_s)},
-      {"demand_scale", io::Json(cfg.demand_scale)},
-      {"default_site_capacity_mbps", io::Json(cfg.default_site_capacity_mbps)},
-      {"site_capacity_mbps", io::Json(std::move(caps))},
-      {"policy", io::Json(std::string(to_string(cfg.policy)))},
-      {"admission_threshold", io::Json(cfg.admission_threshold)},
-      {"max_rho", io::Json(cfg.max_rho)},
-      {"max_shed_waves", io::Json(static_cast<std::int64_t>(cfg.max_shed_waves))},
-      {"seed", io::Json(static_cast<std::int64_t>(cfg.seed))},
-      {"flow_sizes", io::Json(io::JsonObject{{"bytes", io::Json(std::move(bytes))},
-                                             {"prob", io::Json(std::move(prob))}})},
-  });
 }
 
 }  // namespace ranycast::traffic

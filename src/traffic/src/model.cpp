@@ -1,9 +1,6 @@
 #include "ranycast/traffic/model.hpp"
 
-#include <bit>
 #include <cmath>
-
-#include "ranycast/core/rng.hpp"
 
 namespace ranycast::traffic {
 
@@ -39,16 +36,6 @@ double FlowSizeCdf::mean_bytes() const noexcept {
   return mean;
 }
 
-bool FlowSizeCdf::valid() const noexcept {
-  if (bytes.empty() || bytes.size() != prob.size()) return false;
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    if (!std::isfinite(bytes[i]) || bytes[i] <= 0.0) return false;
-    if (!std::isfinite(prob[i]) || prob[i] <= 0.0 || prob[i] > 1.0) return false;
-    if (i > 0 && (bytes[i] <= bytes[i - 1] || prob[i] <= prob[i - 1])) return false;
-  }
-  return prob.back() == 1.0;
-}
-
 FlowSizeCdf FlowSizeCdf::anycast_cdn() {
   // Mice carry the flow count, a thin elephant tail carries most bytes:
   // ~70% of flows stay under 10 KB while the top 3% reach the megabytes that
@@ -60,24 +47,7 @@ FlowSizeCdf FlowSizeCdf::anycast_cdn() {
 }
 
 std::uint64_t fingerprint(const TrafficConfig& c) noexcept {
-  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  std::uint64_t h = hash_combine(0x54524146u /* "TRAF" */, bits(c.flows_per_probe_per_s));
-  h = hash_combine(h, bits(c.window_s));
-  h = hash_combine(h, bits(c.demand_scale));
-  h = hash_combine(h, c.flow_sizes.bytes.size());
-  for (std::size_t i = 0; i < c.flow_sizes.bytes.size(); ++i) {
-    h = hash_combine(h, bits(c.flow_sizes.bytes[i]));
-    h = hash_combine(h, bits(c.flow_sizes.prob[i]));
-  }
-  h = hash_combine(h, bits(c.default_site_capacity_mbps));
-  h = hash_combine(h, c.site_capacity_mbps.size());
-  for (double v : c.site_capacity_mbps) h = hash_combine(h, bits(v));
-  h = hash_combine(h, static_cast<std::uint64_t>(c.policy));
-  h = hash_combine(h, bits(c.admission_threshold));
-  h = hash_combine(h, bits(c.max_rho));
-  h = hash_combine(h, c.max_shed_waves);
-  h = hash_combine(h, c.seed);
-  return h;
+  return core::fingerprint_fields(0x54524146u /* "TRAF" */, c);
 }
 
 }  // namespace ranycast::traffic

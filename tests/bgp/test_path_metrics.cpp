@@ -69,7 +69,6 @@ class TracerouteTest : public ::testing::Test {
  protected:
   topo::IpRegistry registry_;
   LatencyModel latency_;
-  TracerouteConfig config_{.phop_loss_prob = 0.0, .seed = 1};
   const Ipv4Addr dest_{Ipv4Addr(198, 18, 0, 1)};
 };
 
@@ -78,7 +77,7 @@ TEST_F(TracerouteTest, HopStructureOnsiteRouter) {
   const Route r = make_route({make_asn(65000), make_asn(10), make_asn(20)},
                              {city("LHR"), city("FRA"), city("BRU")});
   const auto t = synth_traceroute(r, city("AMS"), make_asn(50), 0.0, true, dest_, latency_,
-                                  config_, registry_);
+                                  registry_);
   // hops: client router, A2@BRU, A1@FRA, p-hop (CDN @ LHR).
   ASSERT_EQ(t.hops.size(), 4u);
   EXPECT_EQ(t.hops[0].owner, make_asn(50));
@@ -94,7 +93,7 @@ TEST_F(TracerouteTest, HopStructureOnsiteRouter) {
 TEST_F(TracerouteTest, HopStructureOffsiteRouter) {
   const Route r = make_route({make_asn(65000), make_asn(10)}, {city("LHR"), city("FRA")});
   const auto t = synth_traceroute(r, city("AMS"), make_asn(50), 0.0, false, dest_, latency_,
-                                  config_, registry_);
+                                  registry_);
   // p-hop belongs to the first-hop neighbor (AS 10) at the site city.
   EXPECT_EQ(t.phop().owner, make_asn(10));
   EXPECT_EQ(t.phop().city, city("LHR"));
@@ -104,7 +103,7 @@ TEST_F(TracerouteTest, HopRttsAreMonotonicallyNondecreasingInDistance) {
   const Route r = make_route({make_asn(65000), make_asn(10), make_asn(20)},
                              {city("SIN"), city("DXB"), city("FRA")});
   const auto t = synth_traceroute(r, city("AMS"), make_asn(50), 0.0, true, dest_, latency_,
-                                  config_, registry_);
+                                  registry_);
   for (std::size_t i = 1; i < t.hops.size(); ++i) {
     EXPECT_GE(t.hops[i].rtt.ms, t.hops[i - 1].rtt.ms);
   }
@@ -112,33 +111,32 @@ TEST_F(TracerouteTest, HopRttsAreMonotonicallyNondecreasingInDistance) {
 }
 
 TEST_F(TracerouteTest, PhopLossIsDeterministic) {
-  TracerouteConfig lossy{.phop_loss_prob = 0.5, .seed = 3};
   const Route r = make_route({make_asn(65000), make_asn(10)}, {city("LHR"), city("FRA")});
   const auto t1 = synth_traceroute(r, city("AMS"), make_asn(50), 0.0, true, dest_, latency_,
-                                   lossy, registry_);
+                                   registry_);
   const auto t2 = synth_traceroute(r, city("AMS"), make_asn(50), 0.0, true, dest_, latency_,
-                                   lossy, registry_);
+                                   registry_);
   EXPECT_EQ(t1.phop_valid, t2.phop_valid);
 }
 
 TEST_F(TracerouteTest, PhopLossRateApproximatesConfig) {
-  TracerouteConfig lossy{.phop_loss_prob = 0.3, .seed = 3};
+  // The p-hop of 5% of (client, route) pairs does not respond.
   const Route base = make_route({make_asn(65000), make_asn(10)}, {city("LHR"), city("FRA")});
   int lost = 0;
   const int n = 2000;
   for (int i = 0; i < n; ++i) {
     const auto t = synth_traceroute(base, city("AMS"), make_asn(static_cast<std::uint32_t>(i + 1)),
-                                    0.0, true, dest_, latency_, lossy, registry_);
+                                    0.0, true, dest_, latency_, registry_);
     if (!t.phop_valid) ++lost;
   }
-  EXPECT_NEAR(static_cast<double>(lost) / n, 0.3, 0.05);
+  EXPECT_NEAR(static_cast<double>(lost) / n, 0.05, 0.02);
 }
 
 TEST_F(TracerouteTest, DirectNeighborClientHasMinimalPath) {
   // Client AS is the attachment neighbor itself: as_path == [cdn].
   const Route r = make_route({make_asn(65000)}, {city("LHR")});
   const auto t = synth_traceroute(r, city("LHR"), make_asn(50), 0.0, true, dest_, latency_,
-                                  config_, registry_);
+                                  registry_);
   ASSERT_EQ(t.hops.size(), 2u);  // client router + p-hop
   EXPECT_EQ(t.phop().owner, make_asn(65000));
 }

@@ -98,6 +98,31 @@ TEST(Scenario, RejectsOutOfRangeProbability) {
   EXPECT_EQ(plan2.error().field, "events[0].ping_loss_prob");
 }
 
+TEST(Scenario, RejectsIntegersOutsideTheMemberType) {
+  // Each used to narrow silently: a site of 65536 withdrew site 0.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"type": "site_withdraw", "site": 65536})", "events[0].site"},
+      {R"({"type": "site_restore", "site": -1})", "events[0].site"},
+      {R"({"type": "link_down", "a": 4294967297, "b": 2})", "events[0].a"},
+      {R"({"type": "link_up", "a": 1, "b": 1e30})", "events[0].b"},
+      {R"({"type": "region_withdraw", "region": 1e30})", "events[0].region"},
+      {R"({"type": "route_server_down", "ixp": 2.5})", "events[0].ixp"},
+      {R"({"type": "site_link_down", "site": 1, "attachment": 2.5})", "events[0].attachment"},
+      {R"({"type": "geodb_outage", "db": -1e300})", "events[0].db"},
+      {R"({"type": "measurement_degrade", "max_retries": 2147483648})",
+       "events[0].max_retries"},
+      {R"({"type": "measurement_degrade", "ping_loss_prob": "0.2"})",
+       "events[0].ping_loss_prob"},
+  };
+  for (const auto& [event, field] : cases) {
+    SCOPED_TRACE(event);
+    const auto plan = plan_from_json(
+        io::parse_json_or_throw(std::string(R"({"events": [)") + event + "]}"), "s.json");
+    ASSERT_FALSE(plan.has_value());
+    EXPECT_EQ(plan.error().field, field);
+  }
+}
+
 TEST(Scenario, RejectsEmptyOrMissingEvents) {
   EXPECT_FALSE(parse(R"({"name": "empty", "events": []})").has_value());
   EXPECT_FALSE(parse(R"({"name": "none"})").has_value());

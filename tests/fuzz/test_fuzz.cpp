@@ -109,10 +109,10 @@ bool exercise(const std::string& input) {
     EXPECT_EQ(round->dump(), once) << "dump() is not a fixed point";
   }
 
-  // Binders are total on parsed documents: tolerant defaults or a
-  // structured error, never a throw.
-  const lab::LabConfig config = io::lab_config_from_json(json);
-  (void)io::validate_lab_config(config);
+  // Binders are total on parsed documents: a value or a structured error,
+  // never a throw.
+  lab::LabConfig config;
+  if (!io::from_json(json, config, "<fuzz>")) (void)io::validate_lab_config(config);
   (void)chaos::plan_from_json(json, "<fuzz>");
   return true;
 }
@@ -187,12 +187,16 @@ TEST(FuzzRegression, ScenarioBinderRejectsNonObjectEvents) {
   EXPECT_FALSE(plan.has_value());
 }
 
-TEST(FuzzRegression, LabBinderToleratesWrongScalarTypes) {
-  // find()/int_or() fall back on type mismatch instead of throwing.
+TEST(FuzzRegression, LabBinderRefusesWrongScalarTypes) {
+  // A mistyped member is refused with its path instead of falling back to
+  // the default, and nothing throws.
   auto json = io::parse_json_or_throw(
       R"({"seed": "not a number", "world": [1, 2], "census": {"total_probes": true}})");
-  const lab::LabConfig config = io::lab_config_from_json(json);
-  (void)io::validate_lab_config(config);
+  lab::LabConfig config;
+  const auto err = io::from_json(json, config, "<fuzz>");
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->field, "seed");
+  EXPECT_EQ(err->file, "<fuzz>");
 }
 
 }  // namespace

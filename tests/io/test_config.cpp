@@ -5,8 +5,16 @@
 namespace ranycast::io {
 namespace {
 
+/// A LabConfig read from `json` by io::from_json, which must accept it.
+lab::LabConfig read_lab_config(const Json& json) {
+  lab::LabConfig config;
+  const auto err = from_json(json, config);
+  EXPECT_FALSE(err.has_value()) << err->to_string();
+  return config;
+}
+
 TEST(Config, EmptyObjectYieldsDefaults) {
-  const auto config = lab_config_from_json(parse_json_or_throw("{}"));
+  const auto config = read_lab_config(parse_json_or_throw("{}"));
   const lab::LabConfig defaults;
   EXPECT_EQ(config.seed, defaults.seed);
   EXPECT_EQ(config.world.stub_count, defaults.world.stub_count);
@@ -15,7 +23,7 @@ TEST(Config, EmptyObjectYieldsDefaults) {
 }
 
 TEST(Config, OverridesApply) {
-  const auto config = lab_config_from_json(parse_json_or_throw(R"({
+  const auto config = read_lab_config(parse_json_or_throw(R"({
     "seed": 99,
     "world": {"stub_count": 123, "tier1_count": 5, "tier1_city_coverage": 0.2},
     "census": {"total_probes": 777, "resolver_local_prob": 0.5},
@@ -37,7 +45,7 @@ TEST(Config, OverridesApply) {
 }
 
 TEST(Config, UnknownKeysIgnored) {
-  const auto config = lab_config_from_json(
+  const auto config = read_lab_config(
       parse_json_or_throw(R"({"future_knob": 1, "world": {"also_future": 2}})"));
   const lab::LabConfig defaults;
   EXPECT_EQ(config.world.stub_count, defaults.world.stub_count);
@@ -52,8 +60,8 @@ TEST(Config, RoundTripsThroughJson) {
   original.latency.jitter_max_ms = 3.25;
   original.geo_dbs[2].wrong_country_prob = 0.123;
 
-  const auto json = lab_config_to_json(original);
-  const auto restored = lab_config_from_json(json);
+  const auto json = to_json(original);
+  const auto restored = read_lab_config(json);
   EXPECT_EQ(restored.seed, original.seed);
   EXPECT_EQ(restored.world.stub_count, original.world.stub_count);
   EXPECT_EQ(restored.world.tier1_count, original.world.tier1_count);
@@ -65,27 +73,27 @@ TEST(Config, RoundTripsThroughJson) {
 
 TEST(Config, ObservabilityTriStateRoundTrips) {
   // Absent / null -> nullopt (defer to the RANYCAST_OBS environment switch).
-  EXPECT_FALSE(lab_config_from_json(parse_json_or_throw("{}")).observability.has_value());
-  EXPECT_FALSE(lab_config_from_json(parse_json_or_throw(R"({"observability": null})"))
+  EXPECT_FALSE(read_lab_config(parse_json_or_throw("{}")).observability.has_value());
+  EXPECT_FALSE(read_lab_config(parse_json_or_throw(R"({"observability": null})"))
                    .observability.has_value());
   const auto forced_on =
-      lab_config_from_json(parse_json_or_throw(R"({"observability": true})"));
+      read_lab_config(parse_json_or_throw(R"({"observability": true})"));
   ASSERT_TRUE(forced_on.observability.has_value());
   EXPECT_TRUE(*forced_on.observability);
   const auto forced_off =
-      lab_config_from_json(parse_json_or_throw(R"({"observability": false})"));
+      read_lab_config(parse_json_or_throw(R"({"observability": false})"));
   ASSERT_TRUE(forced_off.observability.has_value());
   EXPECT_FALSE(*forced_off.observability);
 
   lab::LabConfig original;
   original.observability = false;
-  const auto restored = lab_config_from_json(lab_config_to_json(original));
+  const auto restored = read_lab_config(to_json(original));
   ASSERT_TRUE(restored.observability.has_value());
   EXPECT_FALSE(*restored.observability);
 }
 
 TEST(Config, SerializedFormParsesAsJson) {
-  const auto json = lab_config_to_json(lab::LabConfig{});
+  const auto json = to_json(lab::LabConfig{});
   const auto reparsed = parse_json_or_throw(json.dump(2));
   EXPECT_TRUE(reparsed.is_object());
   EXPECT_NE(reparsed.find("world"), nullptr);
@@ -139,7 +147,7 @@ TEST(Config, ValidationAcceptsDefaults) {
 }
 
 TEST(Config, ConfiguredLabIsUsable) {
-  const auto config = lab_config_from_json(parse_json_or_throw(
+  const auto config = read_lab_config(parse_json_or_throw(
       R"({"world": {"stub_count": 200}, "census": {"total_probes": 300}})"));
   auto laboratory = lab::Lab::create(config);
   EXPECT_GT(laboratory.census().probes().size(), 100u);

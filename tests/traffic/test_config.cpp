@@ -17,7 +17,7 @@ io::Json parse(const std::string& text) { return io::parse_json_or_throw(text); 
 
 TEST(TrafficConfigJson, DefaultsRoundTrip) {
   const TrafficConfig cfg;
-  const auto back = config_from_json(config_to_json(cfg), "mem");
+  const auto back = config_from_json(io::to_json(cfg), "mem");
   ASSERT_TRUE(back.has_value()) << back.error().to_string();
   EXPECT_EQ(back->flows_per_probe_per_s, cfg.flows_per_probe_per_s);
   EXPECT_EQ(back->default_site_capacity_mbps, cfg.default_site_capacity_mbps);

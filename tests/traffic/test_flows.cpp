@@ -12,6 +12,7 @@
 #include "ranycast/atlas/grouping.hpp"
 #include "ranycast/exec/pool.hpp"
 #include "ranycast/lab/lab.hpp"
+#include "ranycast/traffic/config.hpp"
 
 namespace ranycast::traffic {
 namespace {
@@ -116,7 +117,9 @@ TEST_F(FlowGenTest, OfferedMbpsMatchesTotalBytes) {
 
 TEST(FlowSizeCdf, DefaultIsValidAndMonotone) {
   const FlowSizeCdf cdf = FlowSizeCdf::anycast_cdn();
-  ASSERT_TRUE(cdf.valid());
+  TrafficConfig cfg;
+  cfg.flow_sizes = cdf;
+  ASSERT_FALSE(validate(cfg).has_value());
   double prev = 0.0;
   for (double u = 0.0; u < 1.0; u += 0.01) {
     const double s = cdf.sample(u);

@@ -60,7 +60,6 @@
 // both flags imply --obs.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "ranycast/guard/runtime.hpp"
@@ -69,10 +68,7 @@
 #include "ranycast/chaos/engine.hpp"
 #include "ranycast/chaos/scenario.hpp"
 #include "ranycast/core/flags.hpp"
-#include "ranycast/exec/pool.hpp"
-#include "ranycast/flight/flight.hpp"
 #include "ranycast/io/config.hpp"
-#include "ranycast/obs/flight.hpp"
 #include "ranycast/obs/journal.hpp"
 #include "ranycast/obs/metrics.hpp"
 #include "ranycast/obs/report.hpp"
@@ -210,15 +206,10 @@ int main(int argc, char** argv) {
                              args.has("traffic-scale");
   if (traffic_flags && !traffic_cfg) traffic_cfg.emplace();
   if (traffic_cfg) {
-    if (const auto policy = args.get("traffic-policy")) {
-      if (*policy == "spill") {
-        traffic_cfg->policy = traffic::OverloadPolicy::Spill;
-      } else if (*policy == "shed") {
-        traffic_cfg->policy = traffic::OverloadPolicy::Shed;
-      } else {
-        std::fprintf(stderr, "unknown traffic policy '%s' (spill|shed)\n", policy->c_str());
-        return 2;
-      }
+    const auto policy = args.get("traffic-policy");
+    if (policy && io::from_json(io::Json(*policy), traffic_cfg->policy)) {
+      std::fprintf(stderr, "unknown traffic policy '%s' (spill|shed)\n", policy->c_str());
+      return 2;
     }
     if (args.has("traffic-capacity-mbps")) {
       traffic_cfg->default_site_capacity_mbps = args.get_or("traffic-capacity-mbps", 600.0);
@@ -240,32 +231,14 @@ int main(int argc, char** argv) {
   }
 
   const std::string cdn_name = args.get_or("cdn", std::string("imperva6"));
-  const auto spec = cli::deployment_spec(cdn_name);
-  if (!spec) {
-    std::fprintf(stderr, "unknown CDN '%s'\n", cdn_name.c_str());
-    return 2;
-  }
-
-  // Journal / trace export imply observability: both are useless without
-  // the recorder running.
-  const auto trace_out = args.get("trace-out");
-  std::string journal_path = args.get_or("journal", std::string());
-  if (journal_path.empty() && trace_out) journal_path = *trace_out + ".journal.ndjson";
-  if (args.has("obs") || !journal_path.empty()) obs::set_enabled(true);
-  obs::set_thread_name("main");
-  obs::MetricsRegistry::global().set_label("tool", "ranycast-chaos");
-  obs::MetricsRegistry::global().set_label("chaos.plan", plan->name);
+  const auto spec = cli::deployment_spec(args);
+  if (!spec) return 2;
 
   obs::Journal journal;
-  if (!journal_path.empty()) {
-    // A fresh run starts a fresh journal; --resume appends to the previous
-    // attempt's (run_sweep writes the explicit resume marker).
-    if (!journal.open(journal_path, /*append=*/args.has("resume"))) {
-      std::fprintf(stderr, "%s\n", journal.error().c_str());
-      return 2;
-    }
-    obs::set_journal(&journal);
-  }
+  const auto journal_path = cli::start_journal(args, journal);
+  if (!journal_path) return 2;
+  obs::MetricsRegistry::global().set_label("tool", "ranycast-chaos");
+  obs::MetricsRegistry::global().set_label("chaos.plan", plan->name);
 
   const auto config = cli::lab_config(args);
   if (!config) return 2;
@@ -306,46 +279,25 @@ int main(int argc, char** argv) {
   }
   if (traffic_cfg) engine.enable_traffic(*traffic_cfg);
 
-  const bool guarded = args.has("deadline") || args.has("stall-timeout") ||
-                       args.has("checkpoint") || args.has("resume");
   obs::journal_event("phase_begin", {F::str("phase", "chaos.run")});
   chaos::ChaosReport report;
   bool truncated = false;
-  if (guarded) {
-    guard::RunLimits limits;
-    limits.deadline_s = args.get_or("deadline", 0.0);
-    limits.stall_timeout_s = args.get_or("stall-timeout", 0.0);
-    guard::CheckpointPolicy policy;
-    policy.path = args.get_or("checkpoint", std::string());
-    policy.every = static_cast<std::size_t>(args.get_or("checkpoint-every", std::int64_t{1}));
-    policy.keep = static_cast<std::size_t>(args.get_or("checkpoint-keep", std::int64_t{3}));
-    policy.resume = args.has("resume");
-    if (policy.resume && policy.path.empty()) {
-      std::fprintf(stderr, "--resume requires --checkpoint FILE\n");
-      return 2;
-    }
-    if (args.has("abort-after")) {
-      // Simulate a crash for recovery tests: no cleanup, no stream flush —
-      // the checkpoint fsynced after step N is all a resume may rely on.
-      const auto fatal_step = static_cast<std::size_t>(
-          args.get_or("abort-after", std::int64_t{0}));
-      policy.after_step = [fatal_step](std::size_t done, std::size_t) {
-        if (done == fatal_step) std::_Exit(137);
-      };
-    }
-    guard::Supervisor supervisor(limits);
+  if (cli::guarded(args)) {
+    const auto guard = cli::guard_flags(args);
+    if (!guard) return 2;
+    guard::Supervisor supervisor(guard->limits);
     // SIGTERM/SIGINT stop the timeline cooperatively at the next step
     // boundary: the sweep flushes a final checkpoint plus the `stopped`
     // journal line and the tool exits 3 with a resumable truncated report.
     const guard::ScopedSignalCancel signal_cancel(supervisor);
-    auto outcome = engine.run_guarded(*plan, supervisor, policy);
+    auto outcome = engine.run_guarded(*plan, supervisor, guard->policy);
     if (!outcome) {
       std::fprintf(stderr, "chaos error: %s\n", outcome.error().c_str());
       return 2;
     }
     if (outcome->sweep.resumed) {
       std::fprintf(stderr, "[guard] resumed from %s at step %zu/%zu\n",
-                   policy.path.c_str(), outcome->sweep.resumed_from,
+                   guard->policy.path.c_str(), outcome->sweep.resumed_from,
                    outcome->sweep.total);
     }
     report = std::move(outcome->report);
@@ -390,29 +342,7 @@ int main(int argc, char** argv) {
     std::fputs(rendered.c_str(), stdout);
   }
 
-  if (obs::enabled()) {
-    exec::ThreadPool::global().publish_stats();
-    obs::rss_high_water_kb();
-  }
-  if (journal.is_open()) {
-    obs::set_journal(nullptr);
-    journal.close();
-  }
-  if (trace_out) {
-    auto loaded = flight::load_journal(journal_path);
-    if (!loaded) {
-      std::fprintf(stderr, "trace export: %s\n", loaded.error().c_str());
-      return 2;
-    }
-    const std::string trace = flight::chrome_trace(*loaded, obs::flight_snapshot());
-    std::ofstream tf(*trace_out, std::ios::binary | std::ios::trunc);
-    if (!tf) {
-      std::fprintf(stderr, "cannot write %s\n", trace_out->c_str());
-      return 2;
-    }
-    tf << trace;
-    std::fprintf(stderr, "[obs] wrote %s\n", trace_out->c_str());
-  }
+  if (!cli::finish_journal(args, journal, *journal_path)) return 2;
 
   if (obs::enabled() && args.has("obs")) {
     const double wall_ms =

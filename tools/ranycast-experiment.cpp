@@ -35,8 +35,6 @@
 // also writes a Chrome/Perfetto trace of the run (docs/observability.md).
 // Both imply --obs recording.
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 
 #include "ranycast/guard/runtime.hpp"
@@ -49,11 +47,8 @@
 #include "ranycast/chaos/engine.hpp"
 #include "ranycast/chaos/plan.hpp"
 #include "ranycast/core/flags.hpp"
-#include "ranycast/exec/pool.hpp"
-#include "ranycast/flight/flight.hpp"
 #include "ranycast/io/config.hpp"
 #include "ranycast/lab/comparison.hpp"
-#include "ranycast/obs/flight.hpp"
 #include "ranycast/obs/journal.hpp"
 #include "ranycast/obs/metrics.hpp"
 #include "ranycast/obs/report.hpp"
@@ -144,18 +139,12 @@ int run_causes(lab::Lab& laboratory, bool csv) {
 // the deployment's busiest site, restore it, and let the traffic plane
 // account for where the displaced load went under the chosen policy.
 int run_traffic(lab::Lab& laboratory, bool csv, const flags::Parser& args) {
-  const std::string cdn_name = args.get_or("cdn", std::string("imperva6"));
-  const auto spec = cli::deployment_spec(cdn_name);
-  if (!spec) {
-    std::fprintf(stderr, "unknown CDN '%s'\n", cdn_name.c_str());
-    return 2;
-  }
+  const auto spec = cli::deployment_spec(args);
+  if (!spec) return 2;
   const auto& handle = laboratory.add_deployment(*spec);
   traffic::TrafficConfig cfg;
   const std::string policy = args.get_or("traffic-policy", std::string("spill"));
-  if (policy == "shed") {
-    cfg.policy = traffic::OverloadPolicy::Shed;
-  } else if (policy != "spill") {
+  if (io::from_json(io::Json(policy), cfg.policy)) {
     std::fprintf(stderr, "unknown --traffic-policy '%s' (spill|shed)\n", policy.c_str());
     return 2;
   }
@@ -259,11 +248,8 @@ void print_stability(const resilience::StabilityReport& report, bool csv) {
 
 int run_stability(lab::Lab& laboratory, bool csv, const flags::Parser& args) {
   const std::string cdn_name = args.get_or("cdn", std::string("imperva6"));
-  const auto spec = cli::deployment_spec(cdn_name);
-  if (!spec) {
-    std::fprintf(stderr, "unknown CDN '%s'\n", cdn_name.c_str());
-    return 2;
-  }
+  const auto spec = cli::deployment_spec(args);
+  if (!spec) return 2;
   const auto& handle = laboratory.add_deployment(*spec);
   const auto region = static_cast<std::size_t>(args.get_or("region", std::int64_t{0}));
   const int trials = static_cast<int>(args.get_or("trials", std::int64_t{8}));
@@ -272,45 +258,28 @@ int run_stability(lab::Lab& laboratory, bool csv, const flags::Parser& args) {
     return 2;
   }
 
-  const bool guarded = args.has("deadline") || args.has("stall-timeout") ||
-                       args.has("checkpoint") || args.has("resume");
-  if (!guarded) {
+  if (!cli::guarded(args)) {
     print_stability(
         resilience::catchment_stability(laboratory, handle.deployment, region, trials), csv);
     return 0;
   }
 
-  guard::RunLimits limits;
-  limits.deadline_s = args.get_or("deadline", 0.0);
-  limits.stall_timeout_s = args.get_or("stall-timeout", 0.0);
-  guard::CheckpointPolicy policy;
-  policy.path = args.get_or("checkpoint", std::string());
-  policy.every = static_cast<std::size_t>(args.get_or("checkpoint-every", std::int64_t{1}));
-  policy.resume = args.has("resume");
-  if (policy.resume && policy.path.empty()) {
-    std::fprintf(stderr, "--resume requires --checkpoint FILE\n");
-    return 2;
-  }
-  if (args.has("abort-after")) {
-    const auto fatal_step =
-        static_cast<std::size_t>(args.get_or("abort-after", std::int64_t{0}));
-    policy.after_step = [fatal_step](std::size_t done, std::size_t) {
-      if (done == fatal_step) std::_Exit(137);
-    };
-  }
-  guard::Supervisor supervisor(limits);
+  const auto guard = cli::guard_flags(args);
+  if (!guard) return 2;
+  guard::Supervisor supervisor(guard->limits);
   // SIGTERM/SIGINT cancel cooperatively: a final checkpoint and `stopped`
   // journal line are flushed, and the exit-3 truncated run resumes cleanly.
   const guard::ScopedSignalCancel signal_cancel(supervisor);
-  auto outcome = resilience::catchment_stability_guarded(laboratory, handle.deployment,
-                                                         region, trials, supervisor, policy);
+  auto outcome = resilience::catchment_stability_guarded(
+      laboratory, handle.deployment, region, trials, supervisor, guard->policy);
   if (!outcome) {
     std::fprintf(stderr, "stability error: %s\n", outcome.error().to_string().c_str());
     return 2;
   }
   if (outcome->sweep.resumed) {
-    std::fprintf(stderr, "[guard] resumed from %s at trial %zu/%zu\n", policy.path.c_str(),
-                 outcome->sweep.resumed_from, outcome->sweep.total);
+    std::fprintf(stderr, "[guard] resumed from %s at trial %zu/%zu\n",
+                 guard->policy.path.c_str(), outcome->sweep.resumed_from,
+                 outcome->sweep.total);
   }
   print_stability(outcome->report, csv);
   if (!outcome->sweep.complete()) {
@@ -335,25 +304,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown flag --%s\n", bad.c_str());
     return 2;
   }
-  const auto trace_out = args.get("trace-out");
-  std::string journal_path = args.get_or("journal", std::string());
-  if (journal_path.empty() && trace_out) journal_path = *trace_out + ".journal.ndjson";
-  if (args.has("obs") || !journal_path.empty()) obs::set_enabled(true);
-  obs::set_thread_name("main");
-
   obs::Journal journal;
-  if (!journal_path.empty()) {
-    if (!journal.open(journal_path, /*append=*/args.has("resume"))) {
-      std::fprintf(stderr, "%s\n", journal.error().c_str());
-      return 2;
-    }
-    obs::set_journal(&journal);
-  }
+  const auto journal_path = cli::start_journal(args, journal);
+  if (!journal_path) return 2;
 
   const auto config = cli::lab_config(args);
   if (!config) return 2;
   if (args.has("dump-config")) {
-    std::printf("%s\n", io::lab_config_to_json(*config).dump(2).c_str());
+    std::printf("%s\n", io::to_json(*config).dump(2).c_str());
     return 0;
   }
 
@@ -386,29 +344,7 @@ int main(int argc, char** argv) {
                      {F::str("phase", "experiment." + experiment),
                       F::i64_field("exit_code", *rc)},
                      /*durable=*/true);
-  if (obs::enabled()) {
-    exec::ThreadPool::global().publish_stats();
-    obs::rss_high_water_kb();
-  }
-  if (journal.is_open()) {
-    obs::set_journal(nullptr);
-    journal.close();
-  }
-  if (trace_out) {
-    auto loaded = flight::load_journal(journal_path);
-    if (!loaded) {
-      std::fprintf(stderr, "trace export: %s\n", loaded.error().c_str());
-      return 2;
-    }
-    const std::string trace = flight::chrome_trace(*loaded, obs::flight_snapshot());
-    std::ofstream tf(*trace_out, std::ios::binary | std::ios::trunc);
-    if (!tf) {
-      std::fprintf(stderr, "cannot write %s\n", trace_out->c_str());
-      return 2;
-    }
-    tf << trace;
-    std::fprintf(stderr, "[obs] wrote %s\n", trace_out->c_str());
-  }
+  if (!cli::finish_journal(args, journal, *journal_path)) return 2;
   if (args.has("obs")) std::fprintf(stderr, "%s\n", obs::json_report().c_str());
   return *rc;
 }

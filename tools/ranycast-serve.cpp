@@ -245,28 +245,11 @@ int run_drive(const flags::Parser& args, lab::Lab& laboratory,
     });
   }
 
-  guard::RunLimits limits;
-  limits.deadline_s = args.get_or("deadline", 0.0);
-  limits.stall_timeout_s = args.get_or("stall-timeout", 0.0);
-  guard::CheckpointPolicy policy;
-  policy.kind = guard::CheckpointKind::ServeState;
-  policy.path = args.get_or("checkpoint", std::string());
-  policy.every = static_cast<std::size_t>(args.get_or("checkpoint-every", std::int64_t{1}));
-  policy.keep = static_cast<std::size_t>(args.get_or("checkpoint-keep", std::int64_t{3}));
-  policy.resume = args.has("resume");
-  if (policy.resume && policy.path.empty()) {
-    std::fprintf(stderr, "--resume requires --checkpoint FILE\n");
-    return 2;
-  }
-  if (args.has("abort-after")) {
-    const auto fatal_step =
-        static_cast<std::size_t>(args.get_or("abort-after", std::int64_t{0}));
-    policy.after_step = [fatal_step](std::size_t done, std::size_t) {
-      if (done == fatal_step) std::_Exit(137);
-    };
-  }
+  auto guard = cli::guard_flags(args);
+  if (!guard) return 2;
+  guard->policy.kind = guard::CheckpointKind::ServeState;
 
-  guard::Supervisor supervisor(limits);
+  guard::Supervisor supervisor(guard->limits);
   // SIGTERM/SIGINT stop cooperatively at the next tick: final checkpoint,
   // `stopped` journal line, exit 3, resumable.
   const guard::ScopedSignalCancel signal_cancel(supervisor);
@@ -314,14 +297,14 @@ int run_drive(const flags::Parser& args, lab::Lab& laboratory,
   fingerprint = hash_combine(fingerprint, knobs.queries_per_tick);
   fingerprint = hash_combine(fingerprint, knobs.budget_us);
 
-  auto outcome = guard::run_sweep(knobs.ticks, fingerprint, supervisor, policy, hooks);
+  auto outcome = guard::run_sweep(knobs.ticks, fingerprint, supervisor, guard->policy, hooks);
   if (!outcome) {
     std::fprintf(stderr, "serve error: %s\n", outcome.error().to_string().c_str());
     return 2;
   }
   answers.flush();
   if (outcome->resumed) {
-    std::fprintf(stderr, "[guard] resumed from %s at tick %zu/%zu\n", policy.path.c_str(),
+    std::fprintf(stderr, "[guard] resumed from %s at tick %zu/%zu\n", guard->policy.path.c_str(),
                  outcome->resumed_from, outcome->total);
   }
   journal_summary(server, outcome->completed, knobs.ticks);
@@ -431,27 +414,12 @@ int main(int argc, char** argv) {
   }
 
   const std::string cdn_name = args.get_or("cdn", std::string("imperva6"));
-  const auto spec = cli::deployment_spec(cdn_name);
-  if (!spec) {
-    std::fprintf(stderr, "unknown CDN '%s'\n", cdn_name.c_str());
-    return 2;
-  }
-
-  const std::string journal_path = args.get_or("journal", std::string());
-  if (args.has("obs") || !journal_path.empty()) obs::set_enabled(true);
-  obs::set_thread_name("main");
-  obs::MetricsRegistry::global().set_label("tool", "ranycast-serve");
+  const auto spec = cli::deployment_spec(args);
+  if (!spec) return 2;
 
   obs::Journal journal;
-  if (!journal_path.empty()) {
-    // A fresh run starts a fresh journal; --resume appends to the previous
-    // attempt's (run_sweep writes the explicit resume marker).
-    if (!journal.open(journal_path, /*append=*/args.has("resume"))) {
-      std::fprintf(stderr, "%s\n", journal.error().c_str());
-      return 2;
-    }
-    obs::set_journal(&journal);
-  }
+  if (!cli::start_journal(args, journal)) return 2;
+  obs::MetricsRegistry::global().set_label("tool", "ranycast-serve");
 
   const auto config = cli::lab_config(args);
   if (!config) return 2;

@@ -33,11 +33,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cdn_name = args.get_or("cdn", std::string("imperva6"));
-  const auto spec = cli::deployment_spec(cdn_name);
-  if (!spec) {
-    std::fprintf(stderr, "unknown CDN '%s'\n", cdn_name.c_str());
-    return 2;
-  }
+  const auto spec = cli::deployment_spec(args);
+  if (!spec) return 2;
 
   obs::set_enabled(true);
   obs::MetricsRegistry::global().set_label("tool", "ranycast-stats");

@@ -22,11 +22,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cdn_name = args.get_or("cdn", std::string("imperva6"));
-  const auto spec = cli::deployment_spec(cdn_name);
-  if (!spec) {
-    std::fprintf(stderr, "unknown CDN '%s'\n", cdn_name.c_str());
-    return 2;
-  }
+  const auto spec = cli::deployment_spec(args);
+  if (!spec) return 2;
   const auto mode = args.get_or("mode", std::string("ldns")) == "adns" ? dns::QueryMode::Adns
                                                                        : dns::QueryMode::Ldns;
   const auto count = static_cast<std::size_t>(args.get_or("count", std::int64_t{3}));
